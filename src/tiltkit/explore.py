@@ -44,13 +44,21 @@ def _check_generators(generators: dict[str, RationalMatrix]) -> int:
 
 def generate(generators: dict[str, RationalMatrix], depth: int) -> Frontier:
     """All distinct products of at most `depth` generators, starting from the
-    identity; exact deduplication, words grown by right multiplication."""
+    identity; exact deduplication, words grown by right multiplication.
+
+    A node first reached from its parent by an involution g (g g = E) has
+    node g = parent, so that edge is recorded without a product.
+    """
     n = _check_generators(generators)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     names = sorted(generators)
     start = RationalMatrix.identity(n)
+    involutions = {
+        name for name in names if generators[name] @ generators[name] == start
+    }
     nodes: list[FrontierNode] = [FrontierNode(start, (), 0)]
+    parents: list[int] = [0]  # node index it was first reached from
     index = {start: 0}
     edges: list[tuple[int, str, int]] = []
     layer = [0]
@@ -58,13 +66,20 @@ def generate(generators: dict[str, RationalMatrix], depth: int) -> Frontier:
         nxt: list[int] = []
         for i in layer:
             node = nodes[i]
+            back = node.word[-1] if node.word else None
+            if back not in involutions:
+                back = None
             for name in names:
+                if name == back:
+                    edges.append((i, name, parents[i]))
+                    continue
                 m = node.matrix @ generators[name]
                 j = index.get(m)
                 if j is None:
                     j = len(nodes)
                     index[m] = j
                     nodes.append(FrontierNode(m, node.word + (name,), d))
+                    parents.append(i)
                     nxt.append(j)
                 edges.append((i, name, j))
         layer = nxt
@@ -110,16 +125,32 @@ def shift_targets(n: int) -> list[RationalMatrix]:
     return [-p for p in _permutations(n)]
 
 
+def is_negated_permutation(m: RationalMatrix) -> bool:
+    """Whether m is in ``shift_targets(m.nrows)``, decided in O(n^2): every
+    row holds a single nonzero entry -1, in pairwise distinct columns."""
+    if not m.is_square:
+        return False
+    columns = set()
+    for row in m.entries:
+        nonzero = [j for j, x in enumerate(row) if x]
+        if len(nonzero) != 1 or row[nonzero[0]] != -1:
+            return False
+        columns.add(nonzero[0])
+    return len(columns) == m.nrows
+
+
 def reach_shift(
     generators: dict[str, RationalMatrix], max_depth: int
 ) -> SearchResult:
     """Search for a product of generators equal to a negated permutation.
 
-    When every generator has all column sums 1, products keep that property
-    while every target has column sums -1, so the search is certified
-    unreachable without enumeration.
+    Each node of the breadth-first frontier is tested with
+    :func:`is_negated_permutation`; the first hit in frontier order is
+    returned.  When every generator has all column sums 1, products keep
+    that property while every target has column sums -1, so the search is
+    certified unreachable without enumeration.
     """
-    n = _check_generators(generators)
+    _check_generators(generators)
     if all(
         all(s == 1 for s in g.column_sums()) for g in generators.values()
     ):
@@ -130,10 +161,9 @@ def reach_shift(
                 "products; every negated permutation has column sums -1"
             ),
         )
-    targets = set(shift_targets(n))
     frontier = generate(generators, max_depth)
     for node in frontier.nodes:
-        if node.matrix in targets:
+        if is_negated_permutation(node.matrix):
             return SearchResult(
                 status="found",
                 word=node.word,

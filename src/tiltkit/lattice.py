@@ -1,9 +1,10 @@
 """Integer solution sets of rational quadratic forms.
 
 For positive definite forms the full (finite) solution set of v^T C v = z is
-enumerated with exact arithmetic: branch bounds come from an LDL^T
-decomposition, float square roots are only used to seed integer ranges that
-are widened by one and every candidate is verified exactly.  A bounded-box
+enumerated with exact arithmetic (Fincke-Pohst): branch bounds come from an
+LDL^T decomposition, the integer range at each level is exact (``math.isqrt``
+of the rational bound, tightened by one exact comparison at each end), and
+the innermost level solves d_0 y^2 = budget in closed form.  A bounded-box
 brute force is provided for arbitrary symmetric forms.
 """
 
@@ -30,7 +31,8 @@ def _ldl(c: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
     d: list[Fraction] = []
     for k in range(n):
         pivot = a[k][k]
-        assert pivot > 0, "LDL^T requires a positive definite matrix"
+        if not pivot > 0:
+            raise AssertionError("LDL^T requires a positive definite matrix")
         d.append(pivot)
         pivot_row = list(a[k])
         for i in range(k + 1, n):
@@ -42,13 +44,31 @@ def _ldl(c: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
 
 
 def _int_range(center: Fraction, radius2: Fraction) -> range:
-    """Integers x with (x - center)^2 <= radius2, widened before exact use."""
+    """Integers x with (x - center)^2 <= radius2, exactly."""
     if radius2 < 0:
         return range(0)
-    r = math.sqrt(float(radius2))
-    lo = math.floor(float(center) - r) - 1
-    hi = math.ceil(float(center) + r) + 1
+    s = math.isqrt(math.floor(radius2))  # floor(sqrt(radius2))
+    # the exact ends are ceil(center - sqrt) in {lo, lo + 1} and
+    # floor(center + sqrt) in {hi - 1, hi}
+    lo = math.ceil(center) - s - 1
+    hi = math.floor(center) + s + 1
+    if (lo - center) ** 2 > radius2:
+        lo += 1
+    if (hi - center) ** 2 > radius2:
+        hi -= 1
     return range(lo, hi + 1)
+
+
+def _int_roots(center: Fraction, radius2: Fraction) -> tuple[int, ...]:
+    """Integers x with (x - center)^2 == radius2: at most two."""
+    num, den = radius2.numerator, radius2.denominator
+    a, b = math.isqrt(num), math.isqrt(den)
+    if a * a != num or b * b != den:
+        return ()  # radius2 is not the square of a rational
+    r = Fraction(a, b)
+    return tuple(
+        int(x) for x in {center - r, center + r} if x.denominator == 1
+    )
 
 
 def solutions(c: RationalMatrix, z) -> tuple[tuple[int, ...], ...]:
@@ -72,23 +92,25 @@ def solutions(c: RationalMatrix, z) -> tuple[tuple[int, ...], ...]:
     x = [0] * n
 
     def descend(i: int, budget: Fraction) -> None:
-        # y_i = x_i + sum_{j > i} L[j][i] x_j must satisfy d_i y_i^2 <= budget
+        # y_i = x_i + sum_{j > i} L[j][i] x_j must satisfy d_i y_i^2 <= budget,
+        # with equality at the innermost level
         shift = sum(lower[j][i] * x[j] for j in range(i + 1, n))
-        for xi in _int_range(-shift, budget / d[i]):
-            x[i] = xi
-            y = xi + shift
-            used = d[i] * y * y
-            if i == 0:
-                if used == budget:
-                    out.append(tuple(x))
-            elif used <= budget:
-                descend(i - 1, budget - used)
+        if i == 0:
+            for x0 in _int_roots(-shift, budget / d[0]):
+                x[0] = x0
+                out.append(tuple(x))
+        else:
+            for xi in _int_range(-shift, budget / d[i]):
+                x[i] = xi
+                y = xi + shift
+                descend(i - 1, budget - d[i] * y * y)
         x[i] = 0
 
     descend(n - 1, z)
-    # exact final check: the pruning above is already exact, so every vector
-    # collected satisfies the equation; assert rather than filter
-    assert all(_form_value(c, v) == z for v in out)
+    # exact final check: the enumeration above is already exact, so every
+    # vector collected satisfies the equation; raise rather than filter
+    if not all(_form_value(c, v) == z for v in out):
+        raise AssertionError("lattice enumeration returned a non-solution")
     return tuple(sorted(out))
 
 

@@ -1,12 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltkit.explore import (
+    Frontier,
+    FrontierNode,
+    SearchResult,
     alternating_shift_search,
     delta,
     delta_sequence,
     generate,
+    is_negated_permutation,
     reach_shift,
     shift_targets,
 )
@@ -164,3 +171,144 @@ def test_delta_sequence_monotone_growth():
             values = delta_sequence(m, l, 50).values
             assert all(b > a for a, b in zip(values, values[1:]))
             assert all(v >= 1 for v in values)
+
+
+# -- reference: the plain breadth-first search, one product per edge ----------
+
+
+def _reference_generate(generators, depth):
+    n = next(iter(generators.values())).nrows
+    names = sorted(generators)
+    start = RationalMatrix.identity(n)
+    nodes = [FrontierNode(start, (), 0)]
+    index = {start: 0}
+    edges = []
+    layer = [0]
+    for d in range(1, depth + 1):
+        nxt = []
+        for i in layer:
+            node = nodes[i]
+            for name in names:
+                m = node.matrix @ generators[name]
+                j = index.get(m)
+                if j is None:
+                    j = len(nodes)
+                    index[m] = j
+                    nodes.append(FrontierNode(m, node.word + (name,), d))
+                    nxt.append(j)
+                edges.append((i, name, j))
+        layer = nxt
+        if not layer:
+            break
+    return Frontier(tuple(nodes), depth, tuple(edges))
+
+
+def _reference_reach_shift(generators, max_depth):
+    n = next(iter(generators.values())).nrows
+    if all(
+        all(s == 1 for s in g.column_sums()) for g in generators.values()
+    ):
+        return SearchResult(
+            status="certified_unreachable",
+            reason=(
+                "all generators have column sums 1, a property closed under "
+                "products; every negated permutation has column sums -1"
+            ),
+        )
+    targets = set(shift_targets(n))
+    frontier = _reference_generate(generators, max_depth)
+    for node in frontier.nodes:
+        if node.matrix in targets:
+            return SearchResult(
+                status="found",
+                word=node.word,
+                target=node.matrix,
+                depth_searched=node.depth,
+            )
+    return SearchResult(status="not_found_within_depth", depth_searched=max_depth)
+
+
+@st.composite
+def _involution(draw, n):
+    # the identity except column i = -e_i + v with v_i = 0, so g g = E
+    i = draw(st.integers(0, n - 1))
+    v = [0 if r == i else draw(st.integers(-2, 2)) for r in range(n)]
+    return RationalMatrix(
+        [
+            [(-1 if r == i else v[r]) if col == i else int(r == col)
+             for col in range(n)]
+            for r in range(n)
+        ]
+    )
+
+
+def _square(n):
+    return st.lists(
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    ).map(RationalMatrix)
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(("involutive", "general", "mixed")))
+    pick = {
+        "involutive": _involution(n),
+        "general": _square(n),
+        "mixed": st.one_of(_involution(n), _square(n)),
+    }[kind]
+    pool = draw(st.lists(pick, min_size=1, max_size=4))
+    size = draw(st.integers(2, 4))
+    # drawing names from a small pool repeats matrices under two names
+    return {
+        f"g{k}": pool[draw(st.integers(0, len(pool) - 1))] for k in range(size)
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets(), st.integers(0, 4))
+def test_generate_matches_reference_bfs(gens, depth):
+    assert generate(gens, depth) == _reference_generate(gens, depth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets(), st.integers(0, 4))
+def test_reach_shift_matches_reference(gens, depth):
+    assert reach_shift(gens, depth) == _reference_reach_shift(gens, depth)
+
+
+def test_reach_shift_matches_reference_on_kronecker_pairs():
+    for l in (1, 2, 3):
+        gens = kronecker_gens(l)
+        assert reach_shift(gens, 12) == _reference_reach_shift(gens, 12)
+        assert generate(gens, 8) == _reference_generate(gens, 8)
+
+
+def test_is_negated_permutation_all_3x3_sign_matrices():
+    targets = set(shift_targets(3))
+    hits = 0
+    for flat in itertools.product((-1, 0, 1), repeat=9):
+        m = RationalMatrix([flat[0:3], flat[3:6], flat[6:9]])
+        assert is_negated_permutation(m) == (m in targets)
+        hits += m in targets
+    assert hits == 6
+
+
+def test_is_negated_permutation_signed_permutations():
+    for n in range(1, 5):
+        targets = set(shift_targets(n))
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((-1, 1), repeat=n):
+                m = RationalMatrix(
+                    [[signs[i] if perm[i] == j else 0 for j in range(n)]
+                     for i in range(n)]
+                )
+                assert is_negated_permutation(m) == (m in targets)
+                assert is_negated_permutation(m) == all(s == -1 for s in signs)
+
+
+def test_is_negated_permutation_non_square():
+    assert not is_negated_permutation(RationalMatrix([[-1, 0]]))
+    assert not is_negated_permutation(RationalMatrix([[-1], [0]]))
+    assert not is_negated_permutation(RationalMatrix([[0, -1, 0], [-1, 0, 0]]))

@@ -121,3 +121,23 @@ def test_bounded_box_matches_solutions_when_pd():
     for z in range(0, 9):
         full = solutions(c, z)
         assert bounded_box(c, z, 6) == full
+
+
+# -- exactness beyond float range ----------------------------------------------
+
+
+def test_huge_target_needs_no_float():
+    assert solutions(RationalMatrix([[1]]), 10**400) == ((-10**200,), (10**200,))
+
+
+def test_center_beyond_two_to_the_53():
+    b = 2**60 + 100
+    c = RationalMatrix([[1, b], [b, b * b + 1]])
+    assert solutions(c, 1) == ((-b, 1), (-1, 0), (1, 0), (b, -1))
+
+
+def test_large_z_without_solutions():
+    # 5x^2 + 8xy + 5y^2 = 10^7 has no integer solution; the innermost level
+    # is solved in closed form, so this enumerates O(sqrt(z)) branches
+    assert solutions(RationalMatrix([[5, 4], [4, 5]]), 10**7) == ()
+
