@@ -142,13 +142,17 @@ def analyze(
         )
         # the Euler form is positive definite exactly when the symmetrized
         # Cartan matrix is; both are exact, so disagreement is a bug
-        assert euler_positive == (symmetrized == POSITIVE_DEFINITE)
+        if euler_positive != (symmetrized == POSITIVE_DEFINITE):
+            raise AssertionError("Euler form and symmetrized Cartan disagree")
 
     if symmetrized == POSITIVE_DEFINITE and regular:
         # positive definiteness forces all three spectral conclusions
-        assert ctype != NOT_CYCLOTOMIC
-        assert not has_one
-        assert diagonalizable
+        if ctype == NOT_CYCLOTOMIC:
+            raise AssertionError("positive definite but Coxeter roots off the unit circle")
+        if has_one:
+            raise AssertionError("positive definite but Coxeter eigenvalue 1")
+        if not diagonalizable:
+            raise AssertionError("positive definite but Coxeter matrix not diagonalizable")
 
     return AnalysisReport(
         regular=regular,

@@ -162,7 +162,8 @@ def is_bipartite(g: RibbonGraph) -> bool:
 
 def unique_cycle_length(g: RibbonGraph) -> int:
     """Length of the unique cycle of a betti-one graph (a loop counts 1)."""
-    assert betti_number(g) == 1
+    if betti_number(g) != 1:
+        raise AssertionError("unique_cycle_length needs a graph with one cycle")
     vertex_of = {h: v.id for v in g.vertices for h in v.order}
     alive = {e.id for e in g.edges}
     degree = {v.id: len(v.order) for v in g.vertices}
@@ -207,7 +208,8 @@ def decide(g: RibbonGraph) -> GraphVerdict:
     odd = unique_cycle_length(g) % 2 == 1 if b == 1 else None
     discrete = cycle_criterion(g)
     no_free_part = k0_criterion(g)
-    assert discrete == no_free_part, "cycle and K0 criteria must agree"
+    if discrete != no_free_part:
+        raise AssertionError("cycle and K0 criteria must agree")
     return GraphVerdict(
         betti=b,
         bipartite=bip,
@@ -343,7 +345,8 @@ def disconnectedness_certificate(g: RibbonGraph) -> Certificate:
         all(s == 1 for s in mutation_g_matrix(g, e.id).column_sums())
         for e in g.edges
     )
-    assert verified, "column-sum certificate failed its own soundness check"
+    if not verified:
+        raise AssertionError("column-sum certificate failed its own soundness check")
     return Certificate(
         applicable=True,
         graph_class=cls,

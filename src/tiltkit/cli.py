@@ -178,7 +178,10 @@ def _cmd_te(args) -> int:
 
 
 def _cmd_selfinjective(args) -> int:
-    data = json.loads(args.cycles) if args.cycles else None
+    try:
+        data = json.loads(args.cycles)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"--cycles is not valid JSON: {exc}") from None
     if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
         raise MalformedInputError(
             "--cycles must be a JSON list of cycles, e.g. [[1,2],[3]]"

@@ -14,33 +14,13 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import POSITIVE_DEFINITE, definiteness
+from .linalg import ldl
 from .matrix import RationalMatrix
 
 
 def _form_value(c: RationalMatrix, v) -> Fraction:
     w = c.vec_mul(v)
     return sum(Fraction(x) * y for x, y in zip(v, w))
-
-
-def _ldl(c: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """C = L D L^T for positive definite C; returns (diag of D, L)."""
-    n = c.nrows
-    a = [list(row) for row in c.entries]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d: list[Fraction] = []
-    for k in range(n):
-        pivot = a[k][k]
-        if not pivot > 0:
-            raise AssertionError("LDL^T requires a positive definite matrix")
-        d.append(pivot)
-        pivot_row = list(a[k])
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            lower[i][k] = f
-            for j in range(k, n):
-                a[i][j] -= f * pivot_row[j]
-    return d, lower
 
 
 def _int_range(center: Fraction, radius2: Fraction) -> range:
@@ -76,9 +56,9 @@ def solutions(c: RationalMatrix, z) -> tuple[tuple[int, ...], ...]:
 
     The set is finite; it is empty for z < 0 and {0} for z = 0.
     """
-    if not c.is_symmetric:
-        raise ValueError("solutions requires a symmetric matrix")
-    if definiteness(c) != POSITIVE_DEFINITE:
+    # n positive pivots make C positive definite and lower lower triangular
+    d, lower, _ = ldl(c)
+    if not all(x > 0 for x in d):
         raise ValueError("exact enumeration requires a positive definite form")
     z = Fraction(z)
     if z < 0:
@@ -86,7 +66,6 @@ def solutions(c: RationalMatrix, z) -> tuple[tuple[int, ...], ...]:
     n = c.nrows
     if z == 0:
         return ((0,) * n,)
-    d, lower = _ldl(c)
 
     out: list[tuple[int, ...]] = []
     x = [0] * n

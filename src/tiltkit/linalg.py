@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
-from .matrix import RationalMatrix, SingularMatrixError, solve
+from .matrix import RationalMatrix, SingularMatrixError, row_reduce
 from .poly import Polynomial, cyclotomic, is_cyclotomic_product, lcm
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -44,7 +43,12 @@ def char_poly(m: RationalMatrix) -> Polynomial:
 def min_poly(m: RationalMatrix) -> tuple[Polynomial, bool]:
     """Monic minimal polynomial and a diagonalizability flag.
 
-    The flag is exactly squarefreeness of the minimal polynomial.
+    One row reduction of the Krylov matrix [vec E, vec M, ..., vec M^n]: the
+    first column without a pivot, k, is the first power that depends on the
+    lower ones, and the reduced column k holds the coefficients of that
+    dependence (later pivots sit in rows that are zero in column k, so they
+    leave it alone).  The flag is exactly squarefreeness of the minimal
+    polynomial.
     """
     if not m.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
@@ -52,18 +56,14 @@ def min_poly(m: RationalMatrix) -> tuple[Polynomial, bool]:
     powers = [RationalMatrix.identity(n)]
     for _ in range(n):
         powers.append(m @ powers[-1])
-
-    def vec(a: RationalMatrix) -> list[Fraction]:
-        return [x for row in a.entries for x in row]
-
-    for k in range(1, n + 1):
-        basis = RationalMatrix(list(zip(*[vec(powers[i]) for i in range(k)])))
-        target = vec(powers[k])
-        sol = solve(basis, target)
-        if sol is not None:
-            p = Polynomial([-c for c in sol] + [Fraction(1)])
-            return p, p.is_squarefree
-    raise AssertionError("Cayley-Hamilton guarantees dependence by degree n")
+    krylov = [list(col) for col in zip(*(
+        [x for row in power.entries for x in row] for power in powers
+    ))]
+    pivots, _ = row_reduce(krylov, n + 1)
+    # Cayley-Hamilton: M^n depends on the lower powers, so k <= n
+    k = next(j for j in range(n + 1) if j not in pivots)
+    p = Polynomial([-krylov[i][k] for i in range(k)] + [Fraction(1)])
+    return p, p.is_squarefree
 
 
 def evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
@@ -74,63 +74,54 @@ def evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
     return acc
 
 
-def _principal_minor_classification(s: RationalMatrix) -> str:
-    """Classify a symmetric matrix by exhaustive principal minors (n <= ~12)."""
-    n = s.nrows
-    dets: dict[tuple[int, ...], Fraction] = {}
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            sub = RationalMatrix(
-                [[s.entries[i][j] for j in subset] for i in subset]
-            )
-            dets[subset] = sub.det()
-    psd = all(d >= 0 for d in dets.values())
-    nsd = all(
-        (d >= 0 if len(k) % 2 == 0 else d <= 0) for k, d in dets.items()
-    )
-    full = dets[tuple(range(n))]
-    if psd:
-        return POSITIVE_DEFINITE if full != 0 else POSITIVE_SEMIDEFINITE_SINGULAR
-    if nsd:
-        return NEGATIVE_DEFINITE if full != 0 else NEGATIVE_SEMIDEFINITE_SINGULAR
-    return INDEFINITE
+def ldl(s: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]], bool]:
+    """Symmetric LDL^T with diagonal pivots, exactly.
 
-
-def definiteness(s: RationalMatrix) -> str:
-    """Exact definiteness class of a symmetric matrix.
-
-    LDL^T with diagonal pivoting; when progress is blocked by a vanishing
-    diagonal the classification falls back to principal minors.
+    Each step eliminates on the first nonzero diagonal entry that remains, in
+    index order.  Returns ``(d, lower, blocked)``: ``d[i]`` is the pivot taken
+    at index i (0 where none was), ``lower[i][p]`` the multiplier of pivot p in
+    row i, with a unit diagonal.  ``blocked`` is True when elimination stopped
+    on a remainder whose diagonal is zero but which has a nonzero entry;
+    otherwise s = L diag(d) L^T.  When every d[i] is positive the pivots
+    were taken in index order (a positive definite s keeps a positive
+    diagonal), so ``lower`` is lower triangular.
     """
     if not s.is_symmetric:
-        raise ValueError("definiteness requires a symmetric matrix")
+        raise ValueError("LDL^T requires a symmetric matrix")
     n = s.nrows
     a = [list(row) for row in s.entries]
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
     active = list(range(n))
-    pos = neg = 0
     while active:
-        if all(a[i][j] == 0 for i in active for j in active):
-            break
         pivot = next((i for i in active if a[i][i] != 0), None)
         if pivot is None:
-            # zero diagonal with a nonzero off-diagonal entry left
-            return _principal_minor_classification(s)
-        d = a[pivot][pivot]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+            blocked = any(a[i][j] != 0 for i in active for j in active)
+            return d, lower, blocked
+        d[pivot] = a[pivot][pivot]
         active.remove(pivot)
-        pivot_row = list(a[pivot])
+        pivot_row = a[pivot]
         for i in active:
             if a[i][pivot] == 0:
                 continue
-            f = a[i][pivot] / d
+            f = lower[i][pivot] = a[i][pivot] / d[pivot]
             for j in active:
                 a[i][j] -= f * pivot_row[j]
-            a[i][pivot] = Fraction(0)
-            a[pivot][i] = Fraction(0)
-    zero = n - pos - neg
+    return d, lower, False
+
+
+def definiteness(s: RationalMatrix) -> str:
+    """Exact definiteness class of a symmetric matrix, read off the signs of
+    the LDL^T pivots (congruence preserves inertia)."""
+    d, _, blocked = ldl(s)
+    if blocked:
+        # the remainder has a zero diagonal and some entry a != 0: its 2x2
+        # principal block [[0, a], [a, 0]] has det -a^2 < 0, so the remainder,
+        # and with it s, takes both signs
+        return INDEFINITE
+    pos = sum(1 for x in d if x > 0)
+    neg = sum(1 for x in d if x < 0)
+    zero = s.nrows - pos - neg
     if pos and neg:
         return INDEFINITE
     if neg == 0:

@@ -184,44 +184,51 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(row) for row in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col] == 0:
-                    continue
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-        return det
+        return row_reduce([list(row) for row in self.entries], self.ncols)[1]
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular (det = 0)")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return RationalMatrix([row[n:] for row in a])
+        rows = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+                for i, row in enumerate(self.entries)]
+        if row_reduce(rows, n)[1] == 0:
+            raise SingularMatrixError("matrix is singular (det = 0)")
+        return RationalMatrix([row[n:] for row in rows])
+
+
+def row_reduce(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Gauss-Jordan reduction of ``rows`` in place on its first ``ncols`` columns.
+
+    Whole rows are combined, so any columns past ``ncols`` (a right-hand side,
+    an identity block) are carried along.  Returns the pivot columns in order
+    and the determinant of the leading ``ncols`` x ``ncols`` block (0 when a
+    column has no pivot).  Pivot rows end up first, scaled to a leading 1,
+    with zeros above and below every pivot.
+    """
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            det = -det
+        pivot = rows[r][col]
+        det *= pivot
+        # the pivot row is zero left of col (rows below the pivots so far are
+        # zero in every earlier column), so only the tail from col changes
+        pivot_tail = [x / pivot for x in rows[r][col:]]
+        rows[r][col:] = pivot_tail
+        for k, row in enumerate(rows):
+            f = row[col]
+            if k != r and f != 0:
+                row[col:] = [x - f * y for x, y in zip(row[col:], pivot_tail)]
+        pivots.append(col)
+    return pivots, det
 
 
 def solve(a: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
@@ -234,27 +241,10 @@ def solve(a: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     if len(b) != m:
         raise ValueError("right-hand side length mismatch")
     rows = [list(a.entries[i]) + [_frac(b[i])] for i in range(m)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, m) if rows[k][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(m):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for k in range(r, m):
-        if rows[k][n] != 0:
-            return None
+    pivots, _ = row_reduce(rows, n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][n]
+    for row, col in zip(rows, pivots):
+        x[col] = row[n]
     return tuple(x)

@@ -170,7 +170,8 @@ def cyclotomic(d: int) -> Polynomial:
     for e in range(1, d):
         if d % e == 0:
             q, r = num.divmod(cyclotomic(e))
-            assert r.is_zero
+            if not r.is_zero:
+                raise AssertionError(f"cyclotomic({e}) does not divide x^{d} - 1")
             num = q
     return num
 

@@ -95,7 +95,8 @@ def _automaton(pres: MonomialPresentation):
 
     def step(state, arrow: Arrow):
         vertex, suffix = state
-        assert arrow.source == vertex
+        if arrow.source != vertex:
+            raise AssertionError("arrow does not start at the current vertex")
         word = suffix + (arrow.id,)
         for k in range(len(word)):
             if word[k:] in relations:

@@ -56,7 +56,10 @@ def matrix_from_json(data) -> RationalMatrix:
             except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedInputError(f"bad rational {x!r}: {exc}") from None
         rows.append(out)
-    m = RationalMatrix(rows)
+    try:
+        m = RationalMatrix(rows)
+    except ValueError as exc:  # ragged or empty rows
+        raise MalformedInputError(str(exc)) from None
     if "rows" in data:
         _expect(data["rows"] == m.nrows, "'rows' disagrees with the entry grid")
     if "cols" in data:
@@ -130,32 +133,37 @@ def ribbon_to_json(g: RibbonGraph) -> dict:
 def ribbon_from_json(data) -> RibbonGraph:
     _expect(isinstance(data, dict), "ribbon graph JSON must be an object")
     for key in ("vertices", "edges"):
-        _expect(key in data, f"ribbon graph JSON needs a {key!r} field")
-    vertices = []
-    for v in data["vertices"]:
         _expect(
-            isinstance(v, dict) and {"id", "order"} <= set(v),
-            "each vertex needs 'id' and 'order'",
+            isinstance(data.get(key), list),
+            f"ribbon graph JSON needs a {key!r} list",
         )
-        vertices.append(
-            RibbonVertex(
-                str(v["id"]),
-                int(v.get("mult", 1)),
-                tuple(str(h) for h in v["order"]),
-            )
-        )
-    edges = []
-    for e in data["edges"]:
-        _expect(
-            isinstance(e, dict) and {"id", "halves"} <= set(e),
-            "each edge needs 'id' and 'halves'",
-        )
-        halves = [str(h) for h in e["halves"]]
-        _expect(len(halves) == 2, "each edge has exactly two halves")
-        edges.append(RibbonEdge(str(e["id"]), (halves[0], halves[1])))
+    # a field of the wrong type (a number for a list, "x" for a multiplicity)
+    # surfaces as TypeError or ValueError from the conversions below
     try:
+        vertices = []
+        for v in data["vertices"]:
+            _expect(
+                isinstance(v, dict) and {"id", "order"} <= set(v),
+                "each vertex needs 'id' and 'order'",
+            )
+            vertices.append(
+                RibbonVertex(
+                    str(v["id"]),
+                    int(v.get("mult", 1)),
+                    tuple(str(h) for h in v["order"]),
+                )
+            )
+        edges = []
+        for e in data["edges"]:
+            _expect(
+                isinstance(e, dict) and {"id", "halves"} <= set(e),
+                "each edge needs 'id' and 'halves'",
+            )
+            halves = [str(h) for h in e["halves"]]
+            _expect(len(halves) == 2, "each edge has exactly two halves")
+            edges.append(RibbonEdge(str(e["id"]), (halves[0], halves[1])))
         return RibbonGraph(tuple(vertices), tuple(edges))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedInputError(str(exc)) from None
 
 

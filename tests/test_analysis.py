@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from tiltkit.analysis import (
@@ -147,3 +153,48 @@ def test_te_cartan_of_hereditary_a2_is_brauer_like():
     te = trivial_extension_cartan(c)
     r = analyze(te)
     assert r.symmetrized_definiteness == POSITIVE_DEFINITE
+
+
+# a 9x9 rational Cartan matrix with a positive-definite symmetrization whose
+# Coxeter roots all lie on the unit circle; the numeric unit-circle check
+# misses one of them by 1.7e-9, which the positive-definite cross-check in
+# analyze catches
+KNOWN_DEFECT_CARTAN = [
+    ["53/12", "-1", "0", "0", "0", "-2", "0", "0", "-1/3"],
+    ["-1/3", "19/6", "0", "0", "0", "0", "1", "0", "0"],
+    ["0", "-1/3", "4/3", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "21/4", "0", "0", "2", "0", "-1"],
+    ["-1/2", "-2/3", "0", "0", "35/12", "0", "-1", "0", "-2/3"],
+    ["2/3", "0", "0", "1", "0", "13/4", "0", "1/2", "0"],
+    ["0", "0", "0", "0", "0", "0", "11/3", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "1/3", "41/12", "0"],
+    ["0", "1", "1/3", "-1/2", "0", "1/3", "-1", "0", "43/12"],
+]
+
+
+def test_cross_checks_survive_python_optimize():
+    # under -O assert statements vanish; the verdict cross-checks must not
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from tiltkit.analysis import analyze
+        from tiltkit.matrix import RationalMatrix
+        assert False, "not running under -O"  # stripped by -O
+        try:
+            report = analyze(RationalMatrix({KNOWN_DEFECT_CARTAN!r}))
+        except AssertionError:
+            print("raised: AssertionError")
+        else:
+            print("cyclotomic_type:", report.cyclotomic_type)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.strip()
+    assert out != "cyclotomic_type: no", out

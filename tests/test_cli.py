@@ -108,6 +108,38 @@ def test_exit_code_malformed(capsys, tmp_path):
     assert json.loads(out)["error"]["kind"] == "malformed_input"
 
 
+DIGON_MULT_X = {
+    "vertices": [
+        {"id": "u", "mult": "x", "order": ["h1a", "h2a"]},
+        {"id": "w", "mult": 1, "order": ["h1b", "h2b"]},
+    ],
+    "edges": [
+        {"id": "1", "halves": ["h1a", "h1b"]},
+        {"id": "2", "halves": ["h2a", "h2b"]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["selfinjective", "--cycles", "[[1,2"], None),
+        (["brauer", "decide", "--graph"], {"vertices": 5, "edges": []}),
+        (["brauer", "decide", "--graph"], DIGON_MULT_X),
+        (["analyze", "--cartan"], {"entries": [["1", "0"], ["1"]]}),
+    ],
+    ids=["cycles-not-json", "vertices-not-a-list", "mult-not-an-integer", "ragged-entries"],
+)
+def test_exit_code_malformed_fields(capsys, tmp_path, command, payload):
+    argv = list(command)
+    if payload is not None:
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(payload))
+        argv.append(str(f))
+    out = _run(capsys, argv, expect_code=2)
+    assert json.loads(out)["error"]["kind"] == "malformed_input"
+
+
 def test_exit_code_domain(capsys):
     # leaf-edge mutation is a domain error
     line = {

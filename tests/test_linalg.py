@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,28 @@ def _grid_signs(s: RationalMatrix, radius: int = 3) -> set[int]:
     return signs
 
 
+def _principal_minor_classification(s: RationalMatrix) -> str:
+    """Classify a symmetric matrix by exhaustive principal minors (n <= ~12)."""
+    n = s.nrows
+    dets: dict[tuple[int, ...], Fraction] = {}
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            sub = RationalMatrix(
+                [[s.entries[i][j] for j in subset] for i in subset]
+            )
+            dets[subset] = sub.det()
+    psd = all(d >= 0 for d in dets.values())
+    nsd = all(
+        (d >= 0 if len(k) % 2 == 0 else d <= 0) for k, d in dets.items()
+    )
+    full = dets[tuple(range(n))]
+    if psd:
+        return POSITIVE_DEFINITE if full != 0 else POSITIVE_SEMIDEFINITE_SINGULAR
+    if nsd:
+        return NEGATIVE_DEFINITE if full != 0 else NEGATIVE_SEMIDEFINITE_SINGULAR
+    return INDEFINITE
+
+
 def _check_against_grid(s: RationalMatrix) -> None:
     """One-sided grid oracle: the grid can refute classes, not certify them
     (an indefinite cone can be too narrow for small integer vectors)."""
@@ -108,8 +131,6 @@ def _check_against_grid(s: RationalMatrix) -> None:
     if verdict == NEGATIVE_SEMIDEFINITE_SINGULAR:
         assert signs <= {0, -1} and s.det() == 0
     # exact independent oracle: principal-minor classification
-    from tiltkit.linalg import _principal_minor_classification
-
     assert verdict == _principal_minor_classification(s)
 
 
@@ -123,6 +144,44 @@ def test_definiteness_examples():
     assert definiteness(RationalMatrix([[0, 1], [1, 0]])) == INDEFINITE
     with pytest.raises(ValueError):
         definiteness(RationalMatrix([[1, 2], [3, 4]]))
+
+
+def _block_diagonal(*blocks: list[list[int]]) -> RationalMatrix:
+    n = sum(len(b) for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append([0] * offset + row + [0] * (n - offset - len(row)))
+        offset += len(b)
+    return RationalMatrix(rows)
+
+
+HYPERBOLIC_PLANE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        RationalMatrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]]),
+        _block_diagonal(HYPERBOLIC_PLANE, [[2, 1], [1, 2]]),
+        _block_diagonal([[2, 1], [1, 2]], HYPERBOLIC_PLANE),
+        # the zero diagonal only appears in the Schur complement
+        RationalMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 0]]),
+    ],
+)
+def test_definiteness_blocked_diagonal(s):
+    assert definiteness(s) == INDEFINITE == _principal_minor_classification(s)
+
+
+def test_definiteness_blocked_diagonal_needs_no_minors(monkeypatch):
+    # 2^16 principal minors would be needed by an exhaustive classification
+    s = _block_diagonal(*[HYPERBOLIC_PLANE] * 8)
+
+    def no_det(self):
+        raise AssertionError("definiteness must not compute determinants")
+
+    monkeypatch.setattr(RationalMatrix, "det", no_det)
+    assert definiteness(s) == INDEFINITE
 
 
 @settings(max_examples=80, deadline=None)
