@@ -1,8 +1,9 @@
 """Exact spectral invariants: characteristic/minimal polynomials, definiteness,
 matrix orders, Coxeter matrices and the Euler form.
 
-Verdicts are computed over the rationals only; floating point never decides
-anything here.
+Both polynomials read the memoised ``RationalMatrix.powers`` (Newton's
+identities on their traces; one Krylov row reduction), so a matrix asked
+for both pays its n - 1 products once.  No float ever decides a verdict.
 """
 
 from __future__ import annotations
@@ -24,40 +25,27 @@ ORDER_SEARCH_CAP = 10_000
 
 
 def char_poly(m: RationalMatrix) -> Polynomial:
-    """Monic characteristic polynomial det(xE - M) via Faddeev-LeVerrier."""
-    if not m.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.nrows
-    eye = RationalMatrix.identity(n)
+    """Monic det(xE - M) by Newton: c_k = -(1/k) sum_{i<=k} c_{k-i} tr(M^i)."""
+    traces = [p.trace() for p in m.powers()]
     coeffs = [Fraction(1)]  # descending powers, leading first
-    acc = eye
-    for k in range(1, n + 1):
-        acc = m @ acc
-        c = -acc.trace() / k
-        coeffs.append(c)
-        if k < n:
-            acc = acc + eye.scale(c)
-    return Polynomial(list(reversed(coeffs)))
+    for k in range(1, m.nrows + 1):
+        coeffs.append(-sum(coeffs[k - i] * traces[i] for i in range(1, k + 1)) / k)
+    return Polynomial(coeffs[::-1])
 
 
 def min_poly(m: RationalMatrix) -> tuple[Polynomial, bool]:
     """Monic minimal polynomial and a diagonalizability flag.
 
-    One row reduction of the Krylov matrix [vec E, vec M, ..., vec M^n]: the
-    first column without a pivot, k, is the first power that depends on the
-    lower ones, and the reduced column k holds the coefficients of that
-    dependence (later pivots sit in rows that are zero in column k, so they
-    leave it alone).  The flag is exactly squarefreeness of the minimal
-    polynomial.
+    One row reduction of the Krylov matrix [vec E, vec M, ..., vec M^n] of the
+    memoised powers: the first column without a pivot, k, is the first power
+    that depends on the lower ones, and the reduced column k holds the
+    coefficients of that dependence (later pivots sit in rows that are zero in
+    column k, so they leave it alone).  The flag is exactly squarefreeness of
+    the minimal polynomial.
     """
-    if not m.is_square:
-        raise ValueError("minimal polynomial of a non-square matrix")
     n = m.nrows
-    powers = [RationalMatrix.identity(n)]
-    for _ in range(n):
-        powers.append(m @ powers[-1])
     krylov = [list(col) for col in zip(*(
-        [x for row in power.entries for x in row] for power in powers
+        [x for row in power.entries for x in row] for power in m.powers()
     ))]
     pivots, _ = row_reduce(krylov, n + 1)
     # Cayley-Hamilton: M^n depends on the lower powers, so k <= n

@@ -27,9 +27,10 @@ class RationalMatrix:
     """Immutable matrix over the rationals.
 
     Hashable, so matrices can be deduplicated exactly during group searches.
+    Powers and inverse are memoised in private slots outside eq/hash/repr.
     """
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "entries", "_powers", "_inverse")
 
     def __init__(self, rows: Iterable[Iterable]):
         entries = tuple(tuple(_frac(x) for x in row) for row in rows)
@@ -81,11 +82,6 @@ class RationalMatrix:
     @property
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def int_entries(self) -> tuple[tuple[int, ...], ...]:
-        if not self.is_integral:
-            raise ValueError("matrix is not integral")
-        return tuple(tuple(int(x) for x in row) for row in self.entries)
 
     def __eq__(self, other) -> bool:
         return (
@@ -148,6 +144,17 @@ class RationalMatrix:
         w = [_frac(x) for x in v]
         return tuple(sum(a * b for a, b in zip(row, w)) for row in self.entries)
 
+    def powers(self) -> tuple["RationalMatrix", ...]:
+        """(E, M, M^2, ..., M^n), memoised: n - 1 products the first time."""
+        if not self.is_square:
+            raise ValueError("powers of a non-square matrix")
+        if not hasattr(self, "_powers"):
+            seq = [RationalMatrix.identity(self.nrows), self]
+            for _ in range(self.nrows - 1):
+                seq.append(self @ seq[-1])
+            object.__setattr__(self, "_powers", tuple(seq))
+        return self._powers
+
     def power(self, k: int) -> "RationalMatrix":
         if not self.is_square:
             raise ValueError("power of a non-square matrix")
@@ -187,6 +194,9 @@ class RationalMatrix:
         return row_reduce([list(row) for row in self.entries], self.ncols)[1]
 
     def inverse(self) -> "RationalMatrix":
+        """Exact inverse, memoised (a singular matrix raises on every call)."""
+        if hasattr(self, "_inverse"):
+            return self._inverse
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
@@ -194,7 +204,8 @@ class RationalMatrix:
                 for i, row in enumerate(self.entries)]
         if row_reduce(rows, n)[1] == 0:
             raise SingularMatrixError("matrix is singular (det = 0)")
-        return RationalMatrix([row[n:] for row in rows])
+        object.__setattr__(self, "_inverse", RationalMatrix([row[n:] for row in rows]))
+        return self._inverse
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:

@@ -110,13 +110,14 @@ def _automaton(pres: MonomialPresentation):
     return step
 
 
-def _reachable_states(pres: MonomialPresentation):
-    """All live automaton states with transitions; raises on surviving cycles."""
+def _reachable_states(pres: MonomialPresentation) -> dict:
+    """Transitions (arrow id, next state) of every live automaton state."""
     step = _automaton(pres)
     q = pres.quiver
-    states = {(v, ()) for v in range(1, q.vertices + 1)}
-    edges: dict[tuple, list[tuple[str, tuple]]] = {s: [] for s in states}
-    stack = list(states)
+    edges: dict[tuple, list[tuple[str, tuple]]] = {
+        (v, ()): [] for v in range(1, q.vertices + 1)
+    }
+    stack = list(edges)
     while stack:
         state = stack.pop()
         for arrow in q.arrows_out(state[0]):
@@ -124,40 +125,31 @@ def _reachable_states(pres: MonomialPresentation):
             if nxt is None:
                 continue
             edges[state].append((arrow.id, nxt))
-            if nxt not in states:
-                states.add(nxt)
+            if nxt not in edges:
                 edges[nxt] = []
                 stack.append(nxt)
-    return states, edges
+    return edges
 
 
-def _assert_finite(edges) -> None:
-    # every state is reachable from a trivial path, so any directed cycle
-    # of live states witnesses infinitely many nonzero paths
-    color: dict = {}
+def _topological_order(edges) -> list:
+    """Live states in topological order (Kahn's algorithm), iteratively.
 
-    def visit(s):
-        color[s] = "grey"
+    Every state is reachable from a trivial path, so a state left over on a
+    directed cycle witnesses infinitely many nonzero paths.
+    """
+    indegree = dict.fromkeys(edges, 0)
+    for out in edges.values():
+        for _, t in out:
+            indegree[t] += 1
+    order = [s for s, d in indegree.items() if d == 0]
+    for s in order:  # the list grows while it is scanned
         for _, t in edges[s]:
-            c = color.get(t)
-            if c == "grey":
-                raise InfiniteDimensionalError(
-                    "a nonzero cyclic path survives the relations"
-                )
-            if c is None:
-                visit(t)
-        color[s] = "black"
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10_000))
-    try:
-        for s in list(edges):
-            if s not in color:
-                visit(s)
-    finally:
-        sys.setrecursionlimit(old)
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                order.append(t)
+    if len(order) != len(edges):
+        raise InfiniteDimensionalError("a nonzero cyclic path survives the relations")
+    return order
 
 
 def cartan_from_monomial(pres: MonomialPresentation) -> RationalMatrix:
@@ -166,25 +158,19 @@ def cartan_from_monomial(pres: MonomialPresentation) -> RationalMatrix:
     Column j is the dimension vector of the projective at vertex j.
     Raises InfiniteDimensionalError when the algebra is infinite dimensional.
     """
-    states, edges = _reachable_states(pres)
-    _assert_finite(edges)
+    edges = _reachable_states(pres)
     n = pres.quiver.vertices
-
-    memo: dict[tuple, list[int]] = {}
-
-    def counts(state) -> list[int]:
-        # number of nonzero paths from `state` ending at each vertex
-        if state in memo:
-            return memo[state]
+    # number of nonzero paths from each state ending at each vertex, filled
+    # in reverse topological order so successors are always done first
+    counts: dict[tuple, list[int]] = {}
+    for state in reversed(_topological_order(edges)):
         out = [0] * n
         out[state[0] - 1] += 1
         for _, nxt in edges[state]:
-            for i, c in enumerate(counts(nxt)):
+            for i, c in enumerate(counts[nxt]):
                 out[i] += c
-        memo[state] = out
-        return out
-
-    cols = [counts((j, ())) for j in range(1, n + 1)]
+        counts[state] = out
+    cols = [counts[(j, ())] for j in range(1, n + 1)]
     return RationalMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 

@@ -27,6 +27,12 @@ def _expect(condition: bool, message: str) -> None:
         raise MalformedInputError(message)
 
 
+def _integer(x, what: str) -> int:
+    # bool is an int subclass, and int() would truncate 2.7 to 2
+    _expect(type(x) is int, f"{what} must be an integer, got {x!r}")
+    return x
+
+
 # -- matrices -----------------------------------------------------------------
 
 
@@ -50,7 +56,8 @@ def matrix_from_json(data) -> RationalMatrix:
     for row in entries:
         out = []
         for x in row:
-            _expect(isinstance(x, (str, int)), f"entry {x!r} must be a string or integer")
+            # exact types: a JSON boolean is an int subclass
+            _expect(type(x) in (str, int), f"entry {x!r} must be a string or integer")
             try:
                 out.append(Fraction(x))
             except (ValueError, ZeroDivisionError) as exc:
@@ -98,7 +105,7 @@ def presentation_from_json(data) -> MonomialPresentation:
     for key in ("vertices", "arrows"):
         _expect(key in data, f"quiver JSON needs a {key!r} field")
     _expect(
-        isinstance(data["vertices"], int) and data["vertices"] >= 1,
+        _integer(data["vertices"], "'vertices'") >= 1,
         "'vertices' must be a positive integer",
     )
     arrows = []
@@ -107,7 +114,9 @@ def presentation_from_json(data) -> MonomialPresentation:
             isinstance(a, dict) and {"id", "from", "to"} <= set(a),
             "each arrow needs 'id', 'from', 'to'",
         )
-        arrows.append(Arrow(str(a["id"]), int(a["from"]), int(a["to"])))
+        arrows.append(
+            Arrow(str(a["id"]), _integer(a["from"], "'from'"), _integer(a["to"], "'to'"))
+        )
     relations = tuple(
         tuple(str(x) for x in rel) for rel in data.get("zero_relations", [])
     )
@@ -149,7 +158,7 @@ def ribbon_from_json(data) -> RibbonGraph:
             vertices.append(
                 RibbonVertex(
                     str(v["id"]),
-                    int(v.get("mult", 1)),
+                    _integer(v.get("mult", 1), "'mult'"),
                     tuple(str(h) for h in v["order"]),
                 )
             )

@@ -120,6 +120,12 @@ DIGON_MULT_X = {
 }
 
 
+def _digon_with_mult(mult):
+    vertices = [dict(v) for v in DIGON_MULT_X["vertices"]]
+    vertices[0]["mult"] = mult
+    return {**DIGON_MULT_X, "vertices": vertices}
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -127,8 +133,19 @@ DIGON_MULT_X = {
         (["brauer", "decide", "--graph"], {"vertices": 5, "edges": []}),
         (["brauer", "decide", "--graph"], DIGON_MULT_X),
         (["analyze", "--cartan"], {"entries": [["1", "0"], ["1"]]}),
+        (["te", "--cartan"], {"entries": [[True, False], [False, True]]}),
+        (["brauer", "dot", "--graph"], _digon_with_mult(2.7)),
+        (["brauer", "decide", "--graph"], _digon_with_mult(True)),
     ],
-    ids=["cycles-not-json", "vertices-not-a-list", "mult-not-an-integer", "ragged-entries"],
+    ids=[
+        "cycles-not-json",
+        "vertices-not-a-list",
+        "mult-not-an-integer",
+        "ragged-entries",
+        "boolean-entries",
+        "mult-not-integral",
+        "mult-boolean",
+    ],
 )
 def test_exit_code_malformed_fields(capsys, tmp_path, command, payload):
     argv = list(command)

@@ -1,9 +1,12 @@
-"""The exact elimination kernels against sympy.
+"""The exact elimination kernels and the power-sequence spectral routines
+against sympy.
 
 `row_reduce` (behind det, inverse, solve and min_poly) and `ldl` (behind
 definiteness and lattice.solutions) are checked on random integer and
 rational square matrices up to 6x6, about half of them singular or of
-lower rank.
+lower rank.  `char_poly` (Newton's identities on the memoised powers) and
+its sharing of those powers with `min_poly` are checked up to 8x8,
+nilpotent matrices included.
 """
 
 from fractions import Fraction
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from tiltkit.linalg import char_poly, evaluate_at_matrix, ldl, min_poly
 from tiltkit.matrix import RationalMatrix, SingularMatrixError, solve
+from tiltkit.poly import Polynomial
 
 sympy = pytest.importorskip("sympy")
 
@@ -44,6 +48,23 @@ def square_matrices(draw, max_n=6):
     if rank == 0:
         return RationalMatrix.zero(n)
     return RationalMatrix(_product(block(n, rank), block(rank, n)))
+
+
+@st.composite
+def nilpotent_matrices(draw, max_n=8):
+    """P N P^-1 with N strictly upper triangular and P a product of a lower
+    and an upper unitriangular integer matrix (det P = 1)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = draw(st.sampled_from([INTEGER, RATIONAL]))
+    small = st.integers(min_value=-2, max_value=2)
+    nil = [[draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    lower = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    p = RationalMatrix(lower) @ RationalMatrix(upper)
+    return p @ RationalMatrix(nil) @ p.inverse()
+
+
+SPECTRAL_MATRICES = st.one_of(square_matrices(max_n=8), nilpotent_matrices())
 
 
 def _sym(rows) -> "sympy.Matrix":
@@ -113,6 +134,28 @@ def test_min_poly_matches_sympy_krylov_rank(m):
         columns.append([x for row in power.entries for x in row])
         power = m @ power
     assert p.degree == _sym(zip(*columns)).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPECTRAL_MATRICES)
+def test_char_poly_matches_sympy(m):
+    expected = _sym(m.entries).charpoly(sympy.Symbol("x")).all_coeffs()
+    assert char_poly(m) == Polynomial([_frac(c) for c in reversed(expected)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(SPECTRAL_MATRICES, st.booleans())
+def test_char_poly_and_min_poly_share_powers_in_either_order(m, char_first):
+    # the second routine reads the powers the first one memoised on m
+    if char_first:
+        p = char_poly(m)
+        q, diagonalizable = min_poly(m)
+    else:
+        q, diagonalizable = min_poly(m)
+        p = char_poly(m)
+    assert p == char_poly(RationalMatrix(m.entries))
+    assert (q, diagonalizable) == min_poly(RationalMatrix(m.entries))
+    assert q.divides(p)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiltkit.linalg import char_poly, min_poly
 from tiltkit.matrix import RationalMatrix, SingularMatrixError, solve
 
 
@@ -37,6 +38,12 @@ def test_immutability_and_hash():
     m = RationalMatrix([[1, 2], [3, 4]])
     with pytest.raises(AttributeError):
         m.entries = ()
+    # the memo slots, filled or not, refuse assignment too
+    m.inverse()
+    m.powers()
+    for name in ("_powers", "_inverse", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
     assert hash(m) == hash(RationalMatrix([["1", "2"], ["3", "4"]]))
     assert m == RationalMatrix([[1, 2], [3, 4]])
     assert m != RationalMatrix([[1, 2], [3, 5]])
@@ -87,6 +94,38 @@ def test_det_and_inverse():
     assert singular.det() == 0
     with pytest.raises(SingularMatrixError):
         singular.inverse()
+
+
+def test_memos_leave_equality_hash_and_repr_alone():
+    m = RationalMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    before = (hash(m), repr(m))
+    char_poly(m)
+    min_poly(m)
+    m.inverse()
+    assert (hash(m), repr(m)) == before
+    fresh = RationalMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    assert m == fresh and fresh == m and hash(m) == hash(fresh)
+    assert len({m, fresh}) == 1
+
+
+def test_inverse_is_memoised_and_singular_raises_every_time():
+    m = RationalMatrix([[2, 1], [1, 1]])
+    assert m.inverse() is m.inverse()
+    singular = RationalMatrix([[1, 2], [2, 4]])
+    for _ in range(3):
+        with pytest.raises(SingularMatrixError):
+            singular.inverse()
+
+
+def test_powers_are_an_immutable_memoised_tuple():
+    m = RationalMatrix([[1, 1], [0, 1]])
+    powers = m.powers()
+    assert powers == (RationalMatrix.identity(2), m, m @ m)
+    assert isinstance(powers, tuple) and m.powers() is powers
+    with pytest.raises(TypeError):
+        powers[0] = m
+    with pytest.raises(ValueError):
+        RationalMatrix([[1, 2, 3]]).powers()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -76,6 +77,22 @@ def test_infinite_dimensional_detection():
     # x^3 = 0 makes it finite dimensional
     c = cartan_from_monomial(MonomialPresentation(q, (("x", "x", "x"),)))
     assert c == RationalMatrix([[3]])
+
+
+def test_cartan_long_linear_quiver_needs_no_recursion():
+    # 1 -> 2 -> ... -> n without relations: one path j -> i exactly when i >= j.
+    # At this length a recursive path count overflows the default stack limit.
+    n = 1500
+    arrows = tuple(Arrow(f"a{i}", i, i + 1) for i in range(1, n))
+    limit = sys.getrecursionlimit()
+    c = cartan_from_monomial(MonomialPresentation(Quiver(n, arrows), ()))
+    assert sys.getrecursionlimit() == limit
+    assert c.nrows == c.ncols == n
+    assert all(
+        x == (1 if j <= i else 0)
+        for i, row in enumerate(c.entries)
+        for j, x in enumerate(row)
+    )
 
 
 def test_cartan_four_vertex_example():

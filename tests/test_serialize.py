@@ -41,6 +41,7 @@ def test_matrix_malformed():
         {"entries": []},
         {"entries": [["x"]]},
         {"entries": [[1.5]]},
+        {"entries": [[True, False], [False, True]]},
         {"entries": [["1/0"]]},
         {"rows": 3, "entries": [["1"]]},
     ):
@@ -84,6 +85,15 @@ def test_presentation_malformed():
                 "zero_relations": [["a"]],
             }
         )
+    # booleans and non-integral numbers, which int() read as 1 or truncated
+    for bad in (
+        {"vertices": True, "arrows": []},
+        {"vertices": 2, "arrows": [{"id": "a", "from": 1.9, "to": 2}]},
+        {"vertices": 2, "arrows": [{"id": "a", "from": 1, "to": 2.5}]},
+        {"vertices": 2, "arrows": [{"id": "a", "from": True, "to": 2}]},
+    ):
+        with pytest.raises(MalformedInputError):
+            presentation_from_json(bad)
 
 
 def _digon():
