@@ -10,6 +10,7 @@ environment variable ``TILTKIT_DEPTH`` overrides the default search depth.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ from .matrix import RationalMatrix, SingularMatrixError
 from .quiver import InfiniteDimensionalError
 from .serialize import (
     MalformedInputError,
+    _integer,
     frontier_to_dot,
     matrix_from_json,
     matrix_to_json,
@@ -188,7 +190,7 @@ def _cmd_selfinjective(args) -> int:
         )
     try:
         sigma = NakayamaPermutation(
-            tuple(tuple(int(x) for x in cyc) for cyc in data)
+            tuple(tuple(_integer(x, "a --cycles point") for x in cyc) for cyc in data)
         )
     except (ValueError, TypeError) as exc:
         raise MalformedInputError(str(exc)) from None
@@ -205,6 +207,11 @@ def _cmd_selfinjective(args) -> int:
 
 def _cmd_brauer(args) -> int:
     graph = ribbon_from_json(_load_json(args.graph))
+    if args.action in ("mutate", "kauer"):
+        if not args.edge:
+            raise MalformedInputError(f"brauer {args.action} needs --edge ID")
+        if args.edge not in {e.id for e in graph.edges}:
+            raise MalformedInputError(f"unknown edge {args.edge!r}")
     if args.action == "decide":
         out = decide(graph).to_dict()
         out["criteria"] = {
@@ -215,13 +222,9 @@ def _cmd_brauer(args) -> int:
         _emit(out)
         return 0
     if args.action == "mutate":
-        if not args.edge:
-            raise MalformedInputError("brauer mutate needs --edge ID")
         _emit(matrix_to_json(mutation_g_matrix(graph, args.edge)))
         return 0
     if args.action == "kauer":
-        if not args.edge:
-            raise MalformedInputError("brauer kauer needs --edge ID")
         _emit(ribbon_to_json(kauer_move(graph, args.edge)))
         return 0
     if args.action == "certify":
@@ -318,7 +321,10 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it,
+    and ``TILTKIT_DEPTH`` is read when a command runs, not here."""
     parser = argparse.ArgumentParser(
         prog="tiltkit",
         description="Exact Cartan/Coxeter analysis, Brauer graph mutation, "

@@ -38,19 +38,19 @@ def min_poly(m: RationalMatrix) -> tuple[Polynomial, bool]:
 
     One row reduction of the Krylov matrix [vec E, vec M, ..., vec M^n] of the
     memoised powers: the first column without a pivot, k, is the first power
-    that depends on the lower ones, and the reduced column k holds the
-    coefficients of that dependence (later pivots sit in rows that are zero in
-    column k, so they leave it alone).  The flag is exactly squarefreeness of
-    the minimal polynomial.
+    that depends on the lower ones, and the reduced column k, over the common
+    pivot, holds the coefficients of that dependence (later pivots sit in rows
+    that are zero in column k, so they only rescale it with the pivot).  The
+    flag is exactly squarefreeness of the minimal polynomial.
     """
     n = m.nrows
-    krylov = [list(col) for col in zip(*(
+    krylov = list(zip(*(
         [x for row in power.entries for x in row] for power in m.powers()
-    ))]
-    pivots, _ = row_reduce(krylov, n + 1)
+    )))
+    pivots, _, pivot = row_reduce(krylov, n + 1)
     # Cayley-Hamilton: M^n depends on the lower powers, so k <= n
     k = next(j for j in range(n + 1) if j not in pivots)
-    p = Polynomial([-krylov[i][k] for i in range(k)] + [Fraction(1)])
+    p = Polynomial([Fraction(-krylov[i][k], pivot) for i in range(k)] + [1])
     return p, p.is_squarefree
 
 
@@ -73,29 +73,44 @@ def ldl(s: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]], bool]:
     otherwise s = L diag(d) L^T.  When every d[i] is positive the pivots
     were taken in index order (a positive definite s keeps a positive
     diagonal), so ``lower`` is lower triangular.
+
+    The elimination runs on Python ints: s times the lcm of its
+    denominators, reduced with Bareiss' exact (p*x - f*y) // p_prev, so each
+    pivot p is the principal minor on the indices pivoted so far.  The
+    Fractions are built once at the end: d at a pivot index is
+    p / (p_prev * lcm), and a multiplier is the entry of its row in the
+    pivot column at that step, over p.
     """
     if not s.is_symmetric:
         raise ValueError("LDL^T requires a symmetric matrix")
     n = s.nrows
-    a = [list(row) for row in s.entries]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
+    scale = lcm(x.denominator for row in s.entries for x in row)
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in s.entries]
+    # integer numerators of lower over piv[j], the pivot taken at index j;
+    # d[j] = piv[j] / den[j] (den[j] = 0 where no pivot was taken)
+    lower = [[int(i == j) for j in range(n)] for i in range(n)]
+    piv, den = [1] * n, [0] * n
     active = list(range(n))
+    prev, blocked = 1, False
     while active:
-        pivot = next((i for i in active if a[i][i] != 0), None)
+        pivot = next((i for i in active if a[i][i]), None)
         if pivot is None:
-            blocked = any(a[i][j] != 0 for i in active for j in active)
-            return d, lower, blocked
-        d[pivot] = a[pivot][pivot]
+            blocked = any(a[i][j] for i in active for j in active)
+            break
+        p = piv[pivot] = lower[pivot][pivot] = a[pivot][pivot]
+        den[pivot] = prev * scale
         active.remove(pivot)
         pivot_row = a[pivot]
         for i in active:
-            if a[i][pivot] == 0:
-                continue
-            f = lower[i][pivot] = a[i][pivot] / d[pivot]
-            for j in active:
-                a[i][j] -= f * pivot_row[j]
-    return d, lower, False
+            # pivot columns are zero in every active row once taken, so the
+            # whole row can be combined
+            row = a[i]
+            f = lower[i][pivot] = row[pivot]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    d = [Fraction(p, q) if q else Fraction(0) for p, q in zip(piv, den)]
+    lower = [[Fraction(x, piv[j]) for j, x in enumerate(row)] for row in lower]
+    return d, lower, blocked
 
 
 def definiteness(s: RationalMatrix) -> str:

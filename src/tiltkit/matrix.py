@@ -2,12 +2,15 @@
 
 Every verdict-bearing computation in the package runs through this module.
 Entries are ``fractions.Fraction`` and all operations are exact; no floating
-point ever enters a result returned from here.
+point ever enters a result returned from here.  Elimination (``row_reduce``)
+runs fraction-free on Python ints and builds a Fraction only for an entry it
+hands back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -191,7 +194,7 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        return row_reduce([list(row) for row in self.entries], self.ncols)[1]
+        return row_reduce(list(self.entries), self.ncols)[1]
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse, memoised (a singular matrix raises on every call)."""
@@ -200,46 +203,67 @@ class RationalMatrix:
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        rows = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+        rows = [row + tuple(int(i == j) for j in range(n))
                 for i, row in enumerate(self.entries)]
-        if row_reduce(rows, n)[1] == 0:
+        pivots, _, p = row_reduce(rows, n)
+        if len(pivots) < n:
             raise SingularMatrixError("matrix is singular (det = 0)")
-        object.__setattr__(self, "_inverse", RationalMatrix([row[n:] for row in rows]))
-        return self._inverse
+        inv = RationalMatrix([[Fraction(x, p) for x in row[n:]] for row in rows])
+        object.__setattr__(self, "_inverse", inv)
+        return inv
 
 
-def row_reduce(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
-    """Gauss-Jordan reduction of ``rows`` in place on its first ``ncols`` columns.
+def row_reduce(rows: list[Sequence], ncols: int) -> tuple[list[int], Fraction, int]:
+    """Fraction-free Gauss-Jordan reduction of ``rows`` in place on its first
+    ``ncols`` columns.
 
-    Whole rows are combined, so any columns past ``ncols`` (a right-hand side,
-    an identity block) are carried along.  Returns the pivot columns in order
-    and the determinant of the leading ``ncols`` x ``ncols`` block (0 when a
-    column has no pivot).  Pivot rows end up first, scaled to a leading 1,
-    with zeros above and below every pivot.
+    Each row of rationals is replaced by a list of Python ints: the row times
+    the lcm of its denominators (row scaling leaves the reduced row echelon
+    form as it is).  Every other row is then combined with the pivot row as
+    (p*x - f*y) // p_prev, where p is the new pivot and p_prev the one
+    before: every entry stays a minor of the scaled matrix, so the division
+    is exact (Bareiss 1968).  Whole rows are combined, so any columns past
+    ``ncols`` (a right-hand side, an identity block) are carried along.
+
+    Returns the pivot columns in order, the determinant of the leading
+    ``ncols`` x ``ncols`` block (0 when a column has no pivot) and the
+    common pivot p.  Pivot rows end up first, each with p at its pivot and
+    zeros above and below every pivot, so pivot row i divided by p is row i
+    of the reduced row echelon form.  The rows below are zero in the first
+    ``ncols`` columns.
     """
+    scales = []
+    for i, row in enumerate(rows):
+        s = lcm(*(x.denominator for x in row))
+        rows[i] = [x.numerator * (s // x.denominator) for x in row]
+        scales.append(s)
     pivots: list[int] = []
-    det = Fraction(1)
+    sign, prev = 1, 1
     for col in range(ncols):
         r = len(pivots)
-        p = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
-        if p is None:
-            det = Fraction(0)
+        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if k is None:
             continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            det = -det
-        pivot = rows[r][col]
-        det *= pivot
-        # the pivot row is zero left of col (rows below the pivots so far are
-        # zero in every earlier column), so only the tail from col changes
-        pivot_tail = [x / pivot for x in rows[r][col:]]
-        rows[r][col:] = pivot_tail
-        for k, row in enumerate(rows):
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            scales[r], scales[k] = scales[k], scales[r]
+            sign = -sign
+        pivot_row = rows[r]
+        p = pivot_row[col]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            # rows below are zero left of col; a pivot row above is nonzero from
+            # its own pivot on, and (p*x - f*0) // prev rescales that prefix
+            start = pivots[i] if i < r else col
             f = row[col]
-            if k != r and f != 0:
-                row[col:] = [x - f * y for x, y in zip(row[col:], pivot_tail)]
+            row[start:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[start:], pivot_row[start:])]
         pivots.append(col)
-    return pivots, det
+        prev = p
+    if len(pivots) < ncols:
+        return pivots, Fraction(0), prev
+    return pivots, Fraction(sign * prev, prod(scales[:ncols])), prev
 
 
 def solve(a: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
@@ -251,11 +275,11 @@ def solve(a: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     m, n = a.nrows, a.ncols
     if len(b) != m:
         raise ValueError("right-hand side length mismatch")
-    rows = [list(a.entries[i]) + [_frac(b[i])] for i in range(m)]
-    pivots, _ = row_reduce(rows, n)
-    if any(row[n] != 0 for row in rows[len(pivots):]):
+    rows = [a.entries[i] + (_frac(b[i]),) for i in range(m)]
+    pivots, _, p = row_reduce(rows, n)
+    if any(row[n] for row in rows[len(pivots):]):
         return None
     x = [Fraction(0)] * n
     for row, col in zip(rows, pivots):
-        x[col] = row[n]
+        x[col] = Fraction(row[n], p)
     return tuple(x)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from tiltkit.cli import run
+from tiltkit import cli
+from tiltkit.cli import build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,6 +137,9 @@ def _digon_with_mult(mult):
         (["te", "--cartan"], {"entries": [[True, False], [False, True]]}),
         (["brauer", "dot", "--graph"], _digon_with_mult(2.7)),
         (["brauer", "decide", "--graph"], _digon_with_mult(True)),
+        (["selfinjective", "--cycles", "[[1.5]]"], None),
+        (["selfinjective", "--cycles", "[[true]]"], None),
+        (["selfinjective", "--cycles", '[["2"]]'], None),
     ],
     ids=[
         "cycles-not-json",
@@ -145,6 +149,9 @@ def _digon_with_mult(mult):
         "boolean-entries",
         "mult-not-integral",
         "mult-boolean",
+        "cycles-point-not-integral",
+        "cycles-point-boolean",
+        "cycles-point-string",
     ],
 )
 def test_exit_code_malformed_fields(capsys, tmp_path, command, payload):
@@ -155,6 +162,17 @@ def test_exit_code_malformed_fields(capsys, tmp_path, command, payload):
         argv.append(str(f))
     out = _run(capsys, argv, expect_code=2)
     assert json.loads(out)["error"]["kind"] == "malformed_input"
+
+
+@pytest.mark.parametrize("action", ["mutate", "kauer"])
+def test_unknown_edge_is_malformed_input(capsys, action):
+    graph = str(GOLDEN / "digon_input.json")
+    argv = ["brauer", action, "--graph", graph, "--edge", "9"]
+    out = _run(capsys, argv, expect_code=2)
+    assert json.loads(out)["error"] == {
+        "kind": "malformed_input",
+        "message": "unknown edge '9'",
+    }
 
 
 def test_exit_code_domain(capsys):
@@ -204,3 +222,44 @@ def test_determinism(capsys):
     a = _run(capsys, ["family", "--list"])
     b = _run(capsys, ["family", "--list"])
     assert a == b
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_runs_like_a_fresh_one(capsys, monkeypatch, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({
+        "T": {"entries": [["-1", "0"], ["1", "1"]]},
+        "U": {"entries": [["1", "1"], ["0", "-1"]]},
+    }))
+    cartan = str(GOLDEN / "four_vertex_cartan_input.json")
+    # (TILTKIT_DEPTH, argv): parse errors between good runs, and the
+    # environment changed between runs that read it
+    calls = [
+        (None, ["analyze", "--cartan", cartan]),
+        (None, ["analyze", "--no-such-flag"]),
+        (None, ["explore", "reach-shift", "--gens", str(gens), "--depth", "x"]),
+        ("1", ["explore", "reach-shift", "--gens", str(gens)]),
+        (None, ["nonsense"]),
+        ("3", ["explore", "reach-shift", "--gens", str(gens)]),
+        ("oops", ["explore", "reach-shift", "--gens", str(gens)]),
+        (None, ["analyze", "--cartan", cartan]),
+    ]
+
+    def run_all():
+        results = []
+        for depth, argv in calls:
+            if depth is None:
+                monkeypatch.delenv("TILTKIT_DEPTH", raising=False)
+            else:
+                monkeypatch.setenv("TILTKIT_DEPTH", depth)
+            code = run(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    cached = run_all()
+    assert [r[0] for r in cached] == [0, 2, 2, 0, 2, 0, 2, 0]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert run_all() == cached
