@@ -40,6 +40,7 @@ from .families import (
     AlgebraFamilyEntry,
     FAMILY_NAMES,
     UnknownFamilyError,
+    UnknownParameterError,
     family,
     list_families,
 )
@@ -56,7 +57,7 @@ from .linalg import (
     trivial_extension_cartan,
 )
 from .matrix import RationalMatrix, SingularMatrixError, solve
-from .poly import Polynomial, cyclotomic, is_cyclotomic_product
+from .poly import Polynomial, all_roots_on_unit_circle, cyclotomic, is_cyclotomic_product
 from .quiver import (
     Arrow,
     GentlePresentation,

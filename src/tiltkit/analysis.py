@@ -3,8 +3,10 @@
 `analyze` collects, for one Cartan matrix: regularity, exact definiteness of
 the symmetrization, positivity of the Euler form, cyclotomic type of the
 Coxeter matrix, the eigenvalue-one test, diagonalizability, and the Coxeter
-trace.  All verdicts are exact except the generalized (non-integral)
-cyclotomic check, which is numeric and labelled as such.
+trace.  Every verdict is exact.  An integral Coxeter polynomial is
+cyclotomic exactly when it is a product of cyclotomic polynomials (Kronecker);
+a non-integral one is generalized cyclotomic when a Sturm count over the
+rationals puts all its roots on the unit circle.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from .linalg import (
     trivial_extension_cartan,
 )
 from .matrix import RationalMatrix
-from .poly import Polynomial, is_cyclotomic_product
+from .poly import Polynomial, all_roots_on_unit_circle, is_cyclotomic_product
 
 CYCLOTOMIC = "cyclotomic"
+# an exact verdict; the wire value keeps the name it had as a numeric check
 GENERALIZED_CYCLOTOMIC_NUMERIC = "generalized_cyclotomic_numeric"
 NOT_CYCLOTOMIC = "no"
-
-_UNIT_CIRCLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,24 +74,13 @@ class AnalysisReport:
         }
 
 
-def _roots_on_unit_circle(p: Polynomial, tol: float = _UNIT_CIRCLE_TOL) -> bool:
-    """Numeric advisory check; never used when an exact verdict exists."""
-    import numpy as np
-
-    # root-find the squarefree part: repeated roots cost numeric accuracy
-    p = p.divmod(p.gcd(p.derivative()))[0]
-    coeffs = [float(c) for c in reversed(p.coeffs)]
-    roots = np.roots(coeffs)
-    return bool(np.all(np.abs(np.abs(roots) - 1.0) <= tol))
-
-
 def classify_coxeter_poly(p: Polynomial) -> tuple[str, tuple[int, ...] | None]:
     if p.is_integral:
         ok, indices = is_cyclotomic_product(p)
         # a monic integral polynomial with all roots on the unit circle is a
         # product of cyclotomics, so failure is an exact negative verdict
         return (CYCLOTOMIC, indices) if ok else (NOT_CYCLOTOMIC, None)
-    if _roots_on_unit_circle(p):
+    if all_roots_on_unit_circle(p):
         return GENERALIZED_CYCLOTOMIC_NUMERIC, None
     return NOT_CYCLOTOMIC, None
 

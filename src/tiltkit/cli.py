@@ -3,8 +3,9 @@
 Deterministic JSON (sorted keys) or DOT on standard output.  Exit codes:
 0 success, 1 domain error (singular Cartan matrix where invertibility is
 required, leaf-edge mutation, unknown family, infinite-dimensional algebra),
-2 malformed input.  ``-`` means standard input for any file argument; the
-environment variable ``TILTKIT_DEPTH`` overrides the default search depth.
+2 malformed input (also a parameter the family does not take).  ``-`` means
+standard input for any file argument; the environment variable
+``TILTKIT_DEPTH`` overrides the default search depth.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .explore import (
     generate,
     reach_shift,
 )
-from .families import UnknownFamilyError, family, list_families
+from .families import UnknownFamilyError, UnknownParameterError, family, list_families
 from .lattice import bounded_box, solutions
 from .linalg import SingularCartanError, trivial_extension_cartan
 from .matrix import RationalMatrix, SingularMatrixError
@@ -90,13 +91,12 @@ def _default_depth() -> int:
         ) from None
 
 
+_FAMILY_PARAMS = ("m", "l", "n", "r")
+
+
 def _family_params(args) -> dict:
-    params = {}
-    for key in ("m", "l", "n", "r"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return params
+    values = {key: getattr(args, key, None) for key in _FAMILY_PARAMS}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _cartan_from_args(args) -> tuple[RationalMatrix, RationalMatrix | None]:
@@ -315,10 +315,8 @@ def _cmd_lattice(args) -> int:
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="registry family name instead of --cartan")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    for key in _FAMILY_PARAMS:
+        p.add_argument(f"--{key}", type=int, default=None)
 
 
 @functools.cache
@@ -343,10 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="print the whole registry")
     p.add_argument("--full", action="store_true", help="full entry, not just the Cartan")
     p.add_argument("--dot", action="store_true", help="DOT of the quiver presentation")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    for key in _FAMILY_PARAMS:
+        p.add_argument(f"--{key}", type=int, default=None)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("te", help="trivial extension Cartan matrix C + C^T")
@@ -406,7 +402,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MalformedInputError as exc:
+    except (MalformedInputError, UnknownParameterError) as exc:
         _emit({"error": {"kind": "malformed_input", "message": str(exc)}})
         return 2
     except _DOMAIN_ERRORS as exc:

@@ -9,6 +9,7 @@ alternating mutation rays.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -90,7 +91,9 @@ def generate(generators: dict[str, RationalMatrix], depth: int) -> Frontier:
 
 @dataclass(frozen=True)
 class SearchResult:
-    status: str  # "found" | "not_found_within_depth" | "certified_unreachable"
+    # reach_shift: "found" | "not_found_within_depth" | "certified_unreachable";
+    # alternating_shift_search: "reached" | "certified_never" | "not_found"
+    status: str
     word: tuple[str, ...] | None = None
     target: RationalMatrix | None = None
     depth_searched: int | None = None
@@ -110,19 +113,14 @@ class SearchResult:
         }
 
 
-def _permutations(n: int):
-    import itertools
-
-    for perm in itertools.permutations(range(n)):
-        yield RationalMatrix(
-            [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-
 def shift_targets(n: int) -> list[RationalMatrix]:
-    """Matrices witnessing the shift up to algebra automorphism: negatives
-    of permutation matrices."""
-    return [-p for p in _permutations(n)]
+    """Matrices witnessing the shift up to algebra automorphism: the n!
+    negated permutation matrices.  A reference only; searches test
+    membership with :func:`is_negated_permutation`."""
+    return [
+        RationalMatrix([[-int(p[i] == j) for j in range(n)] for i in range(n)])
+        for p in itertools.permutations(range(n))
+    ]
 
 
 def is_negated_permutation(m: RationalMatrix) -> bool:
@@ -173,7 +171,8 @@ def reach_shift(
     return SearchResult(status="not_found_within_depth", depth_searched=max_depth)
 
 
-_ANTIDIAG = RationalMatrix([[0, -1], [-1, 0]])
+# the two 2x2 negated permutation matrices
+_SHIFT_TARGETS_2 = (-RationalMatrix.identity(2), RationalMatrix([[0, -1], [-1, 0]]))
 
 
 def alternating_shift_search(
@@ -190,7 +189,6 @@ def alternating_shift_search(
     for m in (mu1, mu2):
         if (m.nrows, m.ncols) != (2, 2):
             raise ValueError("alternating search is implemented for 2x2 matrices")
-    targets = set(shift_targets(2))
     g = mu2 @ mu1
 
     def word(length: int) -> tuple[str, ...]:
@@ -199,13 +197,13 @@ def alternating_shift_search(
     def check_up_to(s_max: int) -> SearchResult | None:
         power = RationalMatrix.identity(2)
         for s in range(s_max + 1):
-            if s > 0 and power in targets:
+            if s > 0 and is_negated_permutation(power):
                 return SearchResult(
                     status="reached", word=word(2 * s), target=power,
                     depth_searched=2 * s,
                 )
             odd = power @ mu2  # G^s mu2, an alternating word of odd length
-            if odd in targets:
+            if is_negated_permutation(odd):
                 return SearchResult(
                     status="reached", word=word(2 * s + 1), target=odd,
                     depth_searched=2 * s + 1,
@@ -237,7 +235,7 @@ def alternating_shift_search(
         residuals_finite = mu2.det() == 0 or all(
             (t @ mu2.inverse()).det() not in (1, -1)
             or matrix_order(t @ mu2.inverse()).kind == "finite"
-            for t in targets
+            for t in _SHIFT_TARGETS_2
         )
         if residuals_finite:
             return SearchResult(

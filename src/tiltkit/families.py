@@ -25,6 +25,10 @@ class UnknownFamilyError(ValueError):
     pass
 
 
+class UnknownParameterError(ValueError):
+    """A parameter the named family does not take."""
+
+
 @dataclass(frozen=True)
 class AlgebraFamilyEntry:
     name: str
@@ -111,18 +115,26 @@ def _tau_infinite_pdc() -> MonomialPresentation:
 
 
 def family(name: str, **params) -> AlgebraFamilyEntry:
-    """Look up a named algebra family at concrete parameters."""
+    """Look up a named algebra family at concrete parameters; the parameters
+    it takes are the keys of its ``_DEFAULT_PARAMS`` entry."""
+    if name not in _DEFAULT_PARAMS:
+        raise UnknownFamilyError(f"unknown family {name!r}")
+    for key in params:
+        if key not in _DEFAULT_PARAMS[name]:
+            raise UnknownParameterError(
+                f"family {name!r} takes no parameter {key!r}"
+            )
+    if name in ("kronecker", "kronecker_te", "am", "am_te", "am_circ", "am_circ_te"):
+        # the Kronecker families take l >= 1, the A_m families also m >= 1
+        m, l = int(params.get("m", 1)), int(params.get("l", 1))
+        _require(params, m=(1, m), l=(1, l))
     if name == "kronecker":
-        l = int(params.get("l", 1))
-        _require(params, l=(1, l))
         pres = _kronecker_presentation(l)
         return AlgebraFamilyEntry(
             name, {"l": l}, pres, cartan_from_monomial(pres), None,
             f"path algebra of the {l}-Kronecker quiver",
         )
     if name == "kronecker_te":
-        l = int(params.get("l", 1))
-        _require(params, l=(1, l))
         base = cartan_from_monomial(_kronecker_presentation(l))
         return AlgebraFamilyEntry(
             name, {"l": l}, None, trivial_extension_cartan(base), None,
@@ -130,32 +142,24 @@ def family(name: str, **params) -> AlgebraFamilyEntry:
             "non-monomial relations, Cartan C + C^T",
         )
     if name == "am":
-        m, l = int(params.get("m", 1)), int(params.get("l", 1))
-        _require(params, m=(1, m), l=(1, l))
         pres = _am_presentation(m, l)
         return AlgebraFamilyEntry(
             name, {"m": m, "l": l}, pres, cartan_from_monomial(pres), None,
             "loop x with x^m = 0 killing the parallel arrows (xy = 0)",
         )
     if name == "am_te":
-        m, l = int(params.get("m", 1)), int(params.get("l", 1))
-        _require(params, m=(1, m), l=(1, l))
         base = cartan_from_monomial(_am_presentation(m, l))
         return AlgebraFamilyEntry(
             name, {"m": m, "l": l}, None, trivial_extension_cartan(base), None,
             "trivial extension of the loop-plus-parallel-arrows algebra",
         )
     if name == "am_circ":
-        m, l = int(params.get("m", 1)), int(params.get("l", 1))
-        _require(params, m=(1, m), l=(1, l))
         pres = _am_circ_presentation(m, l)
         return AlgebraFamilyEntry(
             name, {"m": m, "l": l}, pres, cartan_from_monomial(pres), None,
             "loop x with x^m = 0 only (the composite xy survives)",
         )
     if name == "am_circ_te":
-        m, l = int(params.get("m", 1)), int(params.get("l", 1))
-        _require(params, m=(1, m), l=(1, l))
         base = cartan_from_monomial(_am_circ_presentation(m, l))
         return AlgebraFamilyEntry(
             name, {"m": m, "l": l}, None, trivial_extension_cartan(base), None,
@@ -236,25 +240,7 @@ def family(name: str, **params) -> AlgebraFamilyEntry:
             "one-cycle-with-tail gentle normal form with r consecutive "
             "zero relations on the cycle",
         )
-    raise UnknownFamilyError(f"unknown family {name!r}")
 
-
-FAMILY_NAMES: tuple[str, ...] = (
-    "kronecker",
-    "kronecker_te",
-    "am",
-    "am_te",
-    "am_circ",
-    "am_circ_te",
-    "b_m",
-    "lambda_m",
-    "c3c3_c2",
-    "s3_c3",
-    "rad_square_zero_square",
-    "two_cycle_rad_square_zero",
-    "tau_infinite_pdc",
-    "bgs",
-)
 
 _DEFAULT_PARAMS = {
     "kronecker": {"l": 1},
@@ -272,6 +258,7 @@ _DEFAULT_PARAMS = {
     "tau_infinite_pdc": {},
     "bgs": {"n": 3, "r": 1, "m": 0},
 }
+FAMILY_NAMES: tuple[str, ...] = tuple(_DEFAULT_PARAMS)
 
 
 def list_families() -> list[AlgebraFamilyEntry]:

@@ -43,11 +43,6 @@ class Polynomial:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def int_coeffs(self) -> tuple[int, ...]:
-        if not self.is_integral:
-            raise ValueError("polynomial is not integral")
-        return tuple(int(c) for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -206,6 +201,39 @@ def is_cyclotomic_product(p: Polynomial) -> tuple[bool, tuple[int, ...]]:
     if rem.degree == 0:
         return True, tuple(sorted(indices))
     return False, ()
+
+
+def all_roots_on_unit_circle(p: Polynomial) -> bool:
+    """Whether every root of a nonzero rational polynomial has modulus 1,
+    decided exactly (a constant has none: True).  The squarefree part without
+    the factors x - 1, x + 1 must be self-reciprocal of even degree 2m, that
+    is x^m r(x + 1/x); y = z + 1/z maps each pair e^{+-it} to 2 cos t in
+    (-2, 2), so the answer is whether r has m distinct roots there, counted
+    by a Sturm chain (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry, ch. 2)."""
+    if p.is_zero:
+        raise ValueError("expected a nonzero polynomial")
+    q = p.divmod(p.gcd(p.derivative()))[0]
+    for root in (1, -1):
+        if q(root) == 0:
+            q = q.divmod(Polynomial([-root, 1]))[0]
+    a = q.coeffs
+    if q.degree % 2 or a != a[::-1]:
+        return False
+    m = q.degree // 2
+    # x^k + x^-k = D_k(y): D_0 = 2, D_1 = y, D_k = y D_{k-1} - D_{k-2}
+    r, d_prev, d = Polynomial([a[m]]), Polynomial([2]), X
+    for k in range(1, m + 1):
+        r = r + Polynomial([a[m + k]]) * d
+        d_prev, d = d, X * d - d_prev
+    chain = [r, r.derivative()]
+    while not chain[-1].is_zero:
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+    changes = []
+    for y in (-2, 2):  # r(+-2) = (+-1)^m q(+-1) is nonzero
+        signs = [v > 0 for v in (f(y) for f in chain) if v]
+        changes.append(sum(s != t for s, t in zip(signs, signs[1:])))
+    return changes[0] - changes[1] == m
 
 
 def lcm(values: Iterable[int]) -> int:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from tiltkit.analysis import (
     coxeter_trace_is_minus_one,
     selfinjective_coxeter_poly,
 )
+from tiltkit.cli import run
 from tiltkit.families import list_families
 from tiltkit.linalg import (
     POSITIVE_DEFINITE,
@@ -94,6 +96,11 @@ def test_classify_non_integral():
     # (x^2 - (6/5)x + 1) has complex roots of modulus exactly 1
     q = Polynomial([1, "-6/5", 1])
     assert classify_coxeter_poly(q)[0] == GENERALIZED_CYCLOTOMIC_NUMERIC
+    # the verdict is exact on products, repeated factors and x + 1 included
+    on = q * q * Polynomial([1, "2/7", 1]) * Polynomial([1, 1])
+    assert classify_coxeter_poly(on) == (GENERALIZED_CYCLOTOMIC_NUMERIC, None)
+    off = q * Polynomial([1, "-16/7", 1])
+    assert classify_coxeter_poly(off) == (NOT_CYCLOTOMIC, None)
 
 
 def test_registry_positive_definite_implications():
@@ -156,9 +163,8 @@ def test_te_cartan_of_hereditary_a2_is_brauer_like():
 
 
 # a 9x9 rational Cartan matrix with a positive-definite symmetrization whose
-# Coxeter roots all lie on the unit circle; the numeric unit-circle check
-# misses one of them by 1.7e-9, which the positive-definite cross-check in
-# analyze catches
+# Coxeter roots all lie on the unit circle; a floating-point root finder with
+# tolerance 1e-9 misses one of them by 1.7e-9
 KNOWN_DEFECT_CARTAN = [
     ["53/12", "-1", "0", "0", "0", "-2", "0", "0", "-1/3"],
     ["-1/3", "19/6", "0", "0", "0", "0", "1", "0", "0"],
@@ -172,14 +178,30 @@ KNOWN_DEFECT_CARTAN = [
 ]
 
 
+def test_known_defect_input_is_generalized_cyclotomic(capsys, tmp_path):
+    r = analyze(RationalMatrix(KNOWN_DEFECT_CARTAN))
+    assert r.regular
+    assert r.symmetrized_definiteness == POSITIVE_DEFINITE
+    assert r.cyclotomic_type == GENERALIZED_CYCLOTOMIC_NUMERIC
+    f = tmp_path / "cartan.json"
+    f.write_text(json.dumps({"entries": KNOWN_DEFECT_CARTAN}))
+    assert run(["analyze", "--cartan", str(f)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["symmetrized_definiteness"] == POSITIVE_DEFINITE
+    assert out["cyclotomic_type"] == "generalized_cyclotomic_numeric"
+
+
 def test_cross_checks_survive_python_optimize():
-    # under -O assert statements vanish; the verdict cross-checks must not
+    # under -O assert statements vanish; the verdict cross-checks must not.
+    # A wrong "off the circle" verdict on a positive definite input must raise.
     script = textwrap.dedent(
         f"""
         import sys
+        import tiltkit.analysis as analysis
         from tiltkit.analysis import analyze
         from tiltkit.matrix import RationalMatrix
         assert False, "not running under -O"  # stripped by -O
+        analysis.classify_coxeter_poly = lambda p: (analysis.NOT_CYCLOTOMIC, None)
         try:
             report = analyze(RationalMatrix({KNOWN_DEFECT_CARTAN!r}))
         except AssertionError:
@@ -196,5 +218,4 @@ def test_cross_checks_survive_python_optimize():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = proc.stdout.strip()
-    assert out != "cyclotomic_type: no", out
+    assert proc.stdout.strip() == "raised: AssertionError"

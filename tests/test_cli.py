@@ -164,6 +164,25 @@ def test_exit_code_malformed_fields(capsys, tmp_path, command, payload):
     assert json.loads(out)["error"]["kind"] == "malformed_input"
 
 
+@pytest.mark.parametrize(
+    "argv, parameter",
+    [
+        (["family", "--name", "kronecker", "--m", "-1", "--r", "5"], "m"),
+        (["family", "--name", "kronecker_te", "--n", "3"], "n"),
+        (["family", "--name", "c3c3_c2", "--l", "2", "--full"], "l"),
+        (["analyze", "--family", "am", "--m", "2", "--r", "1"], "r"),
+        (["te", "--family", "bgs", "--n", "3", "--l", "1"], "l"),
+        (["lattice", "--family", "s3_c3", "--m", "1", "--z", "5"], "m"),
+    ],
+    ids=["family", "family-te", "family-full", "analyze", "te", "lattice"],
+)
+def test_unknown_family_parameter_is_malformed_input(capsys, argv, parameter):
+    out = _run(capsys, argv, expect_code=2)
+    error = json.loads(out)["error"]
+    assert error["kind"] == "malformed_input"
+    assert f"no parameter '{parameter}'" in error["message"]
+
+
 @pytest.mark.parametrize("action", ["mutate", "kauer"])
 def test_unknown_edge_is_malformed_input(capsys, action):
     graph = str(GOLDEN / "digon_input.json")

@@ -1,0 +1,71 @@
+"""The runtime decides every verdict over the rationals: no module of the
+package imports numpy or touches a float, and a full CLI run never loads
+numpy."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted((SRC / "tiltkit").glob("*.py"))
+
+
+def _float_uses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "numpy":
+                found.append(f"from {node.module}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"literal {node.value!r} at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"name float at line {node.lineno}")
+    return found
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"analysis.py", "poly.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_and_no_float(path):
+    assert _float_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_scan_sees_what_it_forbids():
+    code = "import numpy as np\nfrom numpy.linalg import eig\nx = 1e-9\ny = float(2)\n"
+    assert len(_float_uses(ast.parse(code))) == 4
+
+
+def test_cli_run_never_imports_numpy(tmp_path):
+    cartan = tmp_path / "cartan.json"
+    cartan.write_text(json.dumps({"entries": [["3/2", "-1", "0"], ["1/3", "2", "1"],
+                                              ["0", "-1/2", "5/4"]]}))
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import tiltkit
+        from tiltkit.cli import run
+        code = run(["analyze", "--cartan", {str(cartan)!r}])
+        print(code, "numpy" in sys.modules)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    report = json.loads("\n".join(lines[:-1]))
+    assert report["cyclotomic_type"] == "generalized_cyclotomic_numeric"
+    assert lines[-1] == "0 False"

@@ -17,6 +17,7 @@ from tiltkit.explore import (
     reach_shift,
     shift_targets,
 )
+from tiltkit.linalg import matrix_order
 from tiltkit.matrix import RationalMatrix
 
 
@@ -312,3 +313,90 @@ def test_is_negated_permutation_non_square():
     assert not is_negated_permutation(RationalMatrix([[-1, 0]]))
     assert not is_negated_permutation(RationalMatrix([[-1], [0]]))
     assert not is_negated_permutation(RationalMatrix([[0, -1, 0], [-1, 0, 0]]))
+
+
+def _reference_alternating_shift_search(mu1, mu2, bound=64):
+    # the search as it stood with the n! target set, set membership for
+    # every word and the residual certificate over that set
+    targets = set(shift_targets(2))
+    g = mu2 @ mu1
+
+    def word(length):
+        return tuple("mu2" if k % 2 == 0 else "mu1" for k in range(length))
+
+    def check_up_to(s_max):
+        power = RationalMatrix.identity(2)
+        for s in range(s_max + 1):
+            if s > 0 and power in targets:
+                return SearchResult(
+                    status="reached", word=word(2 * s), target=power,
+                    depth_searched=2 * s,
+                )
+            odd = power @ mu2
+            if odd in targets:
+                return SearchResult(
+                    status="reached", word=word(2 * s + 1), target=odd,
+                    depth_searched=2 * s + 1,
+                )
+            power = power @ g
+        return None
+
+    order = matrix_order(g) if g.det() in (1, -1) else None
+    if order is not None and order.kind == "finite":
+        hit = check_up_to(order.order)
+        if hit is not None:
+            return hit
+        return "certified_never"
+    if order is not None and order.kind == "certified_infinite":
+        hit = check_up_to(1)
+        if hit is not None:
+            return hit
+        if mu2.det() == 0 or all(
+            (t @ mu2.inverse()).det() not in (1, -1)
+            or matrix_order(t @ mu2.inverse()).kind == "finite"
+            for t in targets
+        ):
+            return "certified_never"
+    hit = check_up_to(bound)
+    if hit is not None:
+        return hit
+    return SearchResult(status="not_found", depth_searched=2 * bound + 1)
+
+
+def _same_outcome(result, reference):
+    if reference == "certified_never":
+        return result.status == "certified_never"
+    return result == reference
+
+
+_entries_2x2 = st.lists(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=2, max_size=2
+).map(RationalMatrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_entries_2x2, _involution(2)), st.one_of(_entries_2x2, _involution(2)))
+def test_alternating_matches_reference_target_set(mu1, mu2):
+    result = alternating_shift_search(mu1, mu2, bound=8)
+    assert _same_outcome(result, _reference_alternating_shift_search(mu1, mu2, 8))
+
+
+def test_alternating_matches_reference_on_kronecker_rays():
+    mu2 = RationalMatrix([[1, 1], [0, -1]])
+    for m in range(0, 9):
+        mu1 = RationalMatrix([[-1, 0], [m, 1]])
+        result = alternating_shift_search(mu1, mu2)
+        assert _same_outcome(result, _reference_alternating_shift_search(mu1, mu2))
+
+
+def test_searches_build_no_target_set(monkeypatch):
+    import tiltkit.explore as explore
+
+    def refuse(n):
+        raise AssertionError("the n! target set was built")
+
+    monkeypatch.setattr(explore, "shift_targets", refuse)
+    mu2 = RationalMatrix([[1, 1], [0, -1]])
+    for m in (1, 3, 4):
+        alternating_shift_search(RationalMatrix([[-1, 0], [m, 1]]), mu2)
+    reach_shift(kronecker_gens(1), 6)

@@ -5,6 +5,7 @@ import pytest
 from tiltkit.families import (
     FAMILY_NAMES,
     UnknownFamilyError,
+    UnknownParameterError,
     family,
     list_families,
 )
@@ -16,6 +17,18 @@ from tiltkit.quiver import cartan_from_monomial
 def test_unknown_family():
     with pytest.raises(UnknownFamilyError):
         family("nope")
+
+
+def test_unknown_parameter():
+    with pytest.raises(UnknownParameterError, match="'m'"):
+        family("kronecker", m=-1, r=5)
+    with pytest.raises(UnknownParameterError, match="'l'"):
+        family("c3c3_c2", l=1)
+    with pytest.raises(UnknownParameterError, match="'r'"):
+        family("am", m=2, r=1)
+    # every family takes exactly the parameters of its default entry
+    for e in list_families():
+        assert family(e.name, **e.params) == e
 
 
 def test_registry_covers_all_names():
