@@ -172,6 +172,8 @@ class NakayamaPermutation:
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if any(len(cyc) == 0 for cyc in self.cycles):
+            raise ValueError("a cycle is empty")
         points = [p for cyc in self.cycles for p in cyc]
         if len(points) != len(set(points)):
             raise ValueError("cycles are not disjoint")

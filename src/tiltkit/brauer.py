@@ -456,56 +456,58 @@ def _edges_connected(v: int, combo) -> bool:
 
 
 def enumerate_ribbon_structures(n_edges: int):
-    """All connected ribbon graphs with n_edges edges, exhaustive over
-    cyclic-order structures, deduplicated up to isomorphism.
+    """All connected ribbon graphs with n_edges edges, one per isomorphism
+    class, by orderly generation (Read 1978; McKay 1998).
 
-    Feasible for n_edges <= 4 (permutations of 2n half-edges).
+    Darts 0..2n-1 are paired d <-> d ^ 1.  Position k of the rotation takes
+    a labelled dart that is not yet an image, or the fresh even label (its
+    partner takes the next odd one); a branch dies when position k is still
+    unlabelled (disconnected).  That reaches every connected rooted map once,
+    in its greedy form from root 0; keeping those that no other root
+    relabels to a smaller rotation yields each class once, as its
+    lexicographically least rotation, in lex order.  Vertex v{i} is the
+    i-th rotation cycle by least dart; edge k + 1 joins d{2k} and d{2k + 1}.
     """
-    darts = list(range(2 * n_edges))
-    seen = set()
-    for perm in itertools.permutations(darts):
-        # connectivity of <rotation, pairing> acting on darts
-        parent = darts[:]
+    size = 2 * n_edges
+    rotation, is_image = [0] * size, [False] * size
+    edges = tuple(RibbonEdge(str(k + 1), (f"d{2 * k}", f"d{2 * k + 1}"))
+                  for k in range(n_edges))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def extend(k: int, fresh: int):
+        if 0 < k == size and _is_lex_min_rooting(rotation):
+            vertices, placed = [], set()
+            for d in range(size):
+                cycle = []
+                while d not in placed:
+                    placed.add(d)
+                    cycle.append(f"d{d}")
+                    d = rotation[d]
+                if cycle:
+                    vertices.append(RibbonVertex(f"v{len(vertices)}", 1, tuple(cycle)))
+            yield RibbonGraph(tuple(vertices), edges)
+        # k == fresh: darts 0..k-1 are closed under rotation and pairing
+        for d in range(min(fresh + 1, size) if k < fresh else 0):
+            if not is_image[d]:
+                rotation[k], is_image[d] = d, True
+                yield from extend(k + 1, fresh + 2 if d == fresh else fresh)
+                is_image[d] = False
 
-        for d in darts:
-            for other in (perm[d], d ^ 1):
-                ra, rb = find(d), find(other)
-                if ra != rb:
-                    parent[ra] = rb
-        if len({find(d) for d in darts}) != 1:
-            continue
+    yield from extend(0, 2)
 
-        # vertices are the cycles of the rotation permutation
-        unvisited = set(darts)
-        vertices = []
-        while unvisited:
-            start = min(unvisited)
-            cycle = [start]
-            unvisited.remove(start)
-            d = perm[start]
-            while d != start:
-                cycle.append(d)
-                unvisited.remove(d)
-                d = perm[d]
-            vertices.append(cycle)
-        g = RibbonGraph(
-            vertices=tuple(
-                RibbonVertex(f"v{i}", 1, tuple(f"d{d}" for d in cyc))
-                for i, cyc in enumerate(vertices)
-            ),
-            edges=tuple(
-                RibbonEdge(str(k + 1), (f"d{2 * k}", f"d{2 * k + 1}"))
-                for k in range(n_edges)
-            ),
-        )
-        key = canonical_key(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield g
+
+def _is_lex_min_rooting(rotation: list[int]) -> bool:
+    """No root's greedy relabelling is lexicographically smaller than the
+    rotation, which is its own greedy form from root 0."""
+    for root in range(1, len(rotation)):
+        label = {root: 0, root ^ 1: 1}
+        order = [root, root ^ 1]
+        for k, value in enumerate(rotation):
+            image = rotation[order[k]]
+            if image not in label:
+                label[image], label[image ^ 1] = len(order), len(order) + 1
+                order += (image, image ^ 1)
+            if label[image] != value:
+                if label[image] < value:
+                    return False
+                break
+    return True

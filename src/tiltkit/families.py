@@ -48,10 +48,10 @@ class AlgebraFamilyEntry:
                 )
 
 
-def _require(params: dict, **bounds) -> None:
-    for key, (lo, value) in bounds.items():
-        if value < lo:
-            raise ValueError(f"parameter {key} must be >= {lo}, got {value}")
+def _require(params: dict, **lower) -> None:
+    for key, lo in lower.items():
+        if params[key] < lo:
+            raise ValueError(f"parameter {key} must be >= {lo}, got {params[key]}")
 
 
 def _kronecker_presentation(l: int) -> MonomialPresentation:
@@ -124,50 +124,51 @@ def family(name: str, **params) -> AlgebraFamilyEntry:
             raise UnknownParameterError(
                 f"family {name!r} takes no parameter {key!r}"
             )
-    if name in ("kronecker", "kronecker_te", "am", "am_te", "am_circ", "am_circ_te"):
-        # the Kronecker families take l >= 1, the A_m families also m >= 1
-        m, l = int(params.get("m", 1)), int(params.get("l", 1))
-        _require(params, m=(1, m), l=(1, l))
+    params = {key: int(v) for key, v in {**_DEFAULT_PARAMS[name], **params}.items()}
+    m, l = params.get("m"), params.get("l")
+    if name in ("kronecker", "kronecker_te"):
+        _require(params, l=1)
+    if name in ("am", "am_te", "am_circ", "am_circ_te"):
+        _require(params, m=1, l=1)
     if name == "kronecker":
         pres = _kronecker_presentation(l)
         return AlgebraFamilyEntry(
-            name, {"l": l}, pres, cartan_from_monomial(pres), None,
+            name, params, pres, cartan_from_monomial(pres), None,
             f"path algebra of the {l}-Kronecker quiver",
         )
     if name == "kronecker_te":
         base = cartan_from_monomial(_kronecker_presentation(l))
         return AlgebraFamilyEntry(
-            name, {"l": l}, None, trivial_extension_cartan(base), None,
+            name, params, None, trivial_extension_cartan(base), None,
             f"trivial extension of the {l}-Kronecker algebra; symmetric, "
             "non-monomial relations, Cartan C + C^T",
         )
     if name == "am":
         pres = _am_presentation(m, l)
         return AlgebraFamilyEntry(
-            name, {"m": m, "l": l}, pres, cartan_from_monomial(pres), None,
+            name, params, pres, cartan_from_monomial(pres), None,
             "loop x with x^m = 0 killing the parallel arrows (xy = 0)",
         )
     if name == "am_te":
         base = cartan_from_monomial(_am_presentation(m, l))
         return AlgebraFamilyEntry(
-            name, {"m": m, "l": l}, None, trivial_extension_cartan(base), None,
+            name, params, None, trivial_extension_cartan(base), None,
             "trivial extension of the loop-plus-parallel-arrows algebra",
         )
     if name == "am_circ":
         pres = _am_circ_presentation(m, l)
         return AlgebraFamilyEntry(
-            name, {"m": m, "l": l}, pres, cartan_from_monomial(pres), None,
+            name, params, pres, cartan_from_monomial(pres), None,
             "loop x with x^m = 0 only (the composite xy survives)",
         )
     if name == "am_circ_te":
         base = cartan_from_monomial(_am_circ_presentation(m, l))
         return AlgebraFamilyEntry(
-            name, {"m": m, "l": l}, None, trivial_extension_cartan(base), None,
+            name, params, None, trivial_extension_cartan(base), None,
             "trivial extension of the x^m = 0 loop algebra",
         )
     if name == "b_m":
-        m, l = int(params.get("m", 2)), int(params.get("l", 1))
-        _require(params, m=(2, m))
+        _require(params, m=2)
         if l != 1:
             raise ValueError(
                 "b_m is registered for l = 1 only; for l >= 2 its relations "
@@ -175,19 +176,18 @@ def family(name: str, **params) -> AlgebraFamilyEntry:
             )
         pres = _bm_presentation(m)
         return AlgebraFamilyEntry(
-            name, {"m": m, "l": l}, pres, cartan_from_monomial(pres), None,
+            name, params, pres, cartan_from_monomial(pres), None,
             "two-vertex algebra with (zy)^{m-1} z = 0; for m = 2 this is the "
             "zyz = 0 algebra",
         )
     if name == "lambda_m":
-        m, l = int(params.get("m", 1)), int(params.get("l", 2))
-        _require(params, m=(1, m), l=(2, l))
+        _require(params, m=1, l=2)
         # commutative relations x^{2m} = 0 = y^l, yx = xy: monomial basis
         # x^a y^b with a < 2m, b < l; parity of a + b selects the endpoint,
         # so each column counts m*l paths at either vertex
         v = m * l
         return AlgebraFamilyEntry(
-            name, {"m": m, "l": l}, None,
+            name, params, None,
             RationalMatrix([[v, v], [v, v]]), None,
             "selfinjective two-vertex algebra with commuting x, y; singular "
             "Cartan matrix; for m = 1, l = 2 this is the Brauer graph "
@@ -230,13 +230,9 @@ def family(name: str, **params) -> AlgebraFamilyEntry:
             "definite symmetrized Cartan matrix but tau-tilting infinite",
         )
     if name == "bgs":
-        n = int(params.get("n", 1))
-        r = int(params.get("r", 1))
-        m = int(params.get("m", 0))
-        pres = bgs_normal_form(n, r, m)
+        pres = bgs_normal_form(**params)
         return AlgebraFamilyEntry(
-            name, {"n": n, "r": r, "m": m}, pres,
-            cartan_from_monomial(pres), None,
+            name, params, pres, cartan_from_monomial(pres), None,
             "one-cycle-with-tail gentle normal form with r consecutive "
             "zero relations on the cycle",
         )

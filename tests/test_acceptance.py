@@ -135,6 +135,14 @@ def test_criterion_3_cycle_vs_k0_criteria():
                 if cycle_criterion(g) != k0_criterion(g):
                     disagreements += 1
         assert total > 48000
+        # and on every ribbon structure up to isomorphism
+        classes = 0
+        for n in range(1, 7):
+            for g in enumerate_ribbon_structures(n):
+                classes += 1
+                if cycle_criterion(g) != k0_criterion(g):
+                    disagreements += 1
+        assert classes == 10440
         assert disagreements == 0
 
 
@@ -152,20 +160,24 @@ def test_criterion_4_mutation_g_matrix_properties():
     with criterion(4, "mutation g-matrices: column sums 1 and eigenvalue 1, all graphs <= 5 edges"):
         x_minus_1 = Polynomial([-1, 1])
 
-        def check(g: RibbonGraph):
+        def check(g: RibbonGraph) -> int:
             if len(g.edges) < 2:
-                return
+                return 0
+            checked = 0
             for e in g.edges:
                 if g.is_leaf_edge(e.id):
                     continue
                 m = mutation_g_matrix(g, e.id)
                 assert all(s == 1 for s in m.column_sums())
                 assert x_minus_1.divides(char_poly(m))
+                checked += 1
+            return checked
 
-        # exhaustive over all cyclic-order structures up to 4 edges
+        # exhaustive over all cyclic-order structures up to 5 edges
         for n in range(1, 5):
             for g in enumerate_ribbon_structures(n):
                 check(g)
+        assert sum(check(g) for g in enumerate_ribbon_structures(5)) == 3614
         # 5 edges: all connected multigraphs, two systematic cyclic orders each
         for g in enumerate_connected_multigraphs(5):
             check(g)

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from tiltkit import brauer
 from tiltkit.brauer import (
     Certificate,
     LeafEdgeError,
@@ -244,6 +246,126 @@ def test_enumeration_counts():
     assert all(len(g.edges) == 2 for g in multis)
     assert any(len(g.vertices) == 3 for g in multis)
     assert any(len(g.vertices) == 1 for g in multis)
+
+
+def _reference_enumerate(n_edges: int):
+    """The (2n)! walk over all rotations, deduplicated by canonical_key: the
+    oracle for the orderly enumerator (feasible for n_edges <= 4)."""
+    darts = list(range(2 * n_edges))
+    seen = set()
+    for perm in itertools.permutations(darts):
+        # connectivity of <rotation, pairing> acting on darts
+        parent = darts[:]
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for d in darts:
+            for other in (perm[d], d ^ 1):
+                ra, rb = find(d), find(other)
+                if ra != rb:
+                    parent[ra] = rb
+        if len({find(d) for d in darts}) != 1:
+            continue
+
+        # vertices are the cycles of the rotation permutation
+        unvisited = set(darts)
+        vertices = []
+        while unvisited:
+            start = min(unvisited)
+            cycle = [start]
+            unvisited.remove(start)
+            d = perm[start]
+            while d != start:
+                cycle.append(d)
+                unvisited.remove(d)
+                d = perm[d]
+            vertices.append(cycle)
+        g = RibbonGraph(
+            vertices=tuple(
+                RibbonVertex(f"v{i}", 1, tuple(f"d{d}" for d in cyc))
+                for i, cyc in enumerate(vertices)
+            ),
+            edges=tuple(
+                RibbonEdge(str(k + 1), (f"d{2 * k}", f"d{2 * k + 1}"))
+                for k in range(n_edges)
+            ),
+        )
+        key = canonical_key(g)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield g
+
+
+def _automorphism_count(g: RibbonGraph) -> int:
+    """Number of roots whose breadth-first relabelled (rotation, pairing)
+    encoding is minimal; each automorphism sends the root to one of them."""
+    nxt = {
+        h: v.order[(i + 1) % len(v.order)]
+        for v in g.vertices
+        for i, h in enumerate(v.order)
+    }
+    partner = {a: b for e in g.edges for a, b in (e.halves, e.halves[::-1])}
+    encodings = []
+    for root in nxt:
+        label, queue = {root: 0}, [root]
+        for h in queue:
+            for neighbor in (nxt[h], partner[h]):
+                if neighbor not in label:
+                    label[neighbor] = len(label)
+                    queue.append(neighbor)
+        encodings.append(
+            (tuple(label[nxt[h]] for h in queue), tuple(label[partner[h]] for h in queue))
+        )
+    return encodings.count(min(encodings))
+
+
+def _rooted_map_count(n_edges: int) -> int:
+    """Rooted maps with n_edges edges (Walsh–Lehman 1972): a(n + 1) with
+    a(m) = (2m-1)!! - sum_{k=1}^{m-1} (2k-1)!! a(m-k) and a(1) = 1."""
+
+    def double_factorial(m: int) -> int:  # (2m-1)!!
+        return 1 if m == 0 else (2 * m - 1) * double_factorial(m - 1)
+
+    a = {1: 1}
+    for m in range(2, n_edges + 2):
+        a[m] = double_factorial(m) - sum(
+            double_factorial(k) * a[m - k] for k in range(1, m)
+        )
+    return a[n_edges + 1]
+
+
+def test_rooted_map_recurrence():
+    assert [_rooted_map_count(n) for n in range(1, 7)] == [2, 10, 74, 706, 8162, 110410]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_the_permutation_walk(n):
+    assert list(enumerate_ribbon_structures(n)) == list(_reference_enumerate(n))
+
+
+@pytest.mark.parametrize(
+    "n, classes", [(1, 2), (2, 5), (3, 20), (4, 107), (5, 870), (6, 9436)]
+)
+def test_enumeration_is_one_graph_per_class(n, classes):
+    graphs = list(enumerate_ribbon_structures(n))
+    assert len(graphs) == classes
+    assert len({canonical_key(g) for g in graphs}) == classes
+    # every class contributes its 2n roots up to automorphism
+    assert sum(Fraction(2 * n, _automorphism_count(g)) for g in graphs) == _rooted_map_count(n)
+
+
+def test_enumeration_calls_no_canonical_key_and_no_permutations(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by the enumerator")
+
+    monkeypatch.setattr(brauer, "canonical_key", forbidden)
+    monkeypatch.setattr(itertools, "permutations", forbidden)
+    assert len(list(enumerate_ribbon_structures(4))) == 107
 
 
 def test_multiplicities_do_not_change_verdicts():

@@ -140,6 +140,8 @@ def _digon_with_mult(mult):
         (["selfinjective", "--cycles", "[[1.5]]"], None),
         (["selfinjective", "--cycles", "[[true]]"], None),
         (["selfinjective", "--cycles", '[["2"]]'], None),
+        (["selfinjective", "--cycles", "[[]]"], None),
+        (["selfinjective", "--cycles", "[[],[1]]"], None),
     ],
     ids=[
         "cycles-not-json",
@@ -152,6 +154,8 @@ def _digon_with_mult(mult):
         "cycles-point-not-integral",
         "cycles-point-boolean",
         "cycles-point-string",
+        "cycles-empty",
+        "cycles-empty-beside-fixed-point",
     ],
 )
 def test_exit_code_malformed_fields(capsys, tmp_path, command, payload):

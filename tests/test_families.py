@@ -6,6 +6,7 @@ from tiltkit.families import (
     FAMILY_NAMES,
     UnknownFamilyError,
     UnknownParameterError,
+    _DEFAULT_PARAMS,
     family,
     list_families,
 )
@@ -29,6 +30,13 @@ def test_unknown_parameter():
     # every family takes exactly the parameters of its default entry
     for e in list_families():
         assert family(e.name, **e.params) == e
+
+
+def test_omitted_parameters_take_the_listed_defaults():
+    for name in FAMILY_NAMES:
+        assert family(name) == family(name, **_DEFAULT_PARAMS[name])
+    assert family("am").params == {"m": 2, "l": 1}
+    assert family("bgs", r=2).params == {"n": 3, "r": 2, "m": 0}
 
 
 def test_registry_covers_all_names():
