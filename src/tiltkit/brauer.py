@@ -1,15 +1,20 @@
 """Brauer graphs as ribbon graphs.
 
 A ribbon graph stores, at every vertex, the cyclic order of its incident
-half-edges.  This module implements the tilting-discreteness decision
-procedure, mutation g-matrices, Kauer moves, and the column-sum
+half-edges.  Building a graph indexes every half-edge once (its vertex, its
+edge, its partner and the next half in its cyclic order); every routine
+here reads that index.  Connectivity, bipartiteness and the cycle core are
+read off the underlying multigraph by two helpers on vertex pairs, which
+``quiver`` shares.  This module implements the tilting-discreteness
+decision procedure, mutation g-matrices, Kauer moves, and the column-sum
 unreachability certificate for one-vertex and two-vertex bipartite graphs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 from .matrix import RationalMatrix
 
@@ -41,40 +46,45 @@ class RibbonGraph:
     edges: tuple[RibbonEdge, ...]
 
     def __post_init__(self):
-        placed = [h for v in self.vertices for h in v.order]
-        if len(placed) != len(set(placed)):
-            raise ValueError("a half-edge appears in two cyclic orders")
-        edge_halves = [h for e in self.edges for h in e.halves]
-        if len(edge_halves) != len(set(edge_halves)):
-            raise ValueError("a half-edge belongs to two edges")
-        if set(placed) != set(edge_halves):
+        # the half-edge index: vertex, next half in the cyclic order, edge
+        # and partner of every half; vertex-id pairs of the edges
+        vertex_of, nxt = {}, {}
+        for v in self.vertices:
+            for h, after in zip(v.order, v.order[1:] + v.order[:1]):
+                if h in vertex_of:
+                    raise ValueError("a half-edge appears in two cyclic orders")
+                vertex_of[h], nxt[h] = v, after
+        edge_of, partner = {}, {}
+        for e in self.edges:
+            for h, other in (e.halves, e.halves[::-1]):
+                if h in edge_of:
+                    raise ValueError("a half-edge belongs to two edges")
+                edge_of[h], partner[h] = e, other
+        if vertex_of.keys() != edge_of.keys():
             raise ValueError("half-edges at vertices and on edges disagree")
         if len({v.id for v in self.vertices}) != len(self.vertices):
             raise ValueError("duplicate vertex id")
-        if len({e.id for e in self.edges}) != len(self.edges):
+        edge_by_id = {e.id: e for e in self.edges}
+        if len(edge_by_id) != len(self.edges):
             raise ValueError("duplicate edge id")
-        if not _is_connected(self):
+        pairs = [(vertex_of[a].id, vertex_of[b].id) for a, b in (e.halves for e in self.edges)]
+        if _traverse([v.id for v in self.vertices], pairs)[0] != 1:
             raise ValueError("ribbon graph must be connected")
+        for name, value in (("_vertex_of", vertex_of), ("_next", nxt), ("_edge_of", edge_of),
+                            ("_partner", partner), ("_edge_by_id", edge_by_id),
+                            ("_pairs", pairs)):
+            object.__setattr__(self, name, value)
 
     # -- lookups -----------------------------------------------------------
 
     def half_vertex(self, half: str) -> RibbonVertex:
-        for v in self.vertices:
-            if half in v.order:
-                return v
-        raise KeyError(half)
+        return self._vertex_of[half]
 
     def half_edge(self, half: str) -> RibbonEdge:
-        for e in self.edges:
-            if half in e.halves:
-                return e
-        raise KeyError(half)
+        return self._edge_of[half]
 
     def edge(self, edge_id: str) -> RibbonEdge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
+        return self._edge_by_id[edge_id]
 
     def endpoints(self, e: RibbonEdge) -> tuple[RibbonVertex, RibbonVertex]:
         return self.half_vertex(e.halves[0]), self.half_vertex(e.halves[1])
@@ -88,25 +98,51 @@ class RibbonGraph:
         return any(len(v.order) == 1 for v in self.endpoints(e))
 
 
-def _is_connected(g: RibbonGraph) -> bool:
-    if not g.vertices:
-        return False
-    vertex_of = {h: v.id for v in g.vertices for h in v.order}
-    adj: dict[str, set[str]] = {v.id: set() for v in g.vertices}
-    for e in g.edges:
-        a, b = vertex_of.get(e.halves[0]), vertex_of.get(e.halves[1])
-        if a is None or b is None:
-            return True  # defer to the half-edge consistency checks
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {g.vertices[0].id}
-    stack = [g.vertices[0].id]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
+# -- the underlying multigraph ------------------------------------------------
+
+
+def _traverse(vertices, pairs) -> tuple[int, bool]:
+    """Component count of the multigraph with one edge per vertex pair, and
+    whether it is bipartite (a loop is an odd cycle)."""
+    adj = {u: [] for u in vertices}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    color: dict = {}
+    components, bipartite = 0, True
+    for start in adj:
+        if start in color:
+            continue
+        components += 1
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    bipartite = False
+    return components, bipartite
+
+
+def _cycle_core(pairs) -> list[int]:
+    """Positions of the pairs left after stripping, until none is left, every
+    edge at a vertex of degree one (a loop adds two to the degree of its
+    vertex, so it stays): the cycle of a betti-one graph."""
+    degree = Counter(x for pair in pairs for x in pair)
+    core = dict(enumerate(pairs))
+    stripped = True
+    while stripped:
+        stripped = False
+        for k, (a, b) in list(core.items()):
+            if 1 in (degree[a], degree[b]):
+                del core[k]
+                degree[a] -= 1
+                degree[b] -= 1
+                stripped = True
+    return list(core)
 
 
 # -- decision procedure -------------------------------------------------------
@@ -121,13 +157,7 @@ class GraphVerdict:
     k0_has_free_part: bool
 
     def to_dict(self) -> dict:
-        return {
-            "betti": self.betti,
-            "bipartite": self.bipartite,
-            "odd_cycle_unique": self.odd_cycle_unique,
-            "tilting_discrete": self.tilting_discrete,
-            "k0_has_free_part": self.k0_has_free_part,
-        }
+        return asdict(self)
 
 
 def betti_number(g: RibbonGraph) -> int:
@@ -135,51 +165,14 @@ def betti_number(g: RibbonGraph) -> int:
 
 
 def is_bipartite(g: RibbonGraph) -> bool:
-    color: dict[str, int] = {}
-    vertex_of = {h: v.id for v in g.vertices for h in v.order}
-    adj: dict[str, list[str]] = {v.id: [] for v in g.vertices}
-    for e in g.edges:
-        a, b = vertex_of[e.halves[0]], vertex_of[e.halves[1]]
-        if a == b:
-            return False  # a loop is an odd cycle
-        adj[a].append(b)
-        adj[b].append(a)
-    for start in adj:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+    return _traverse([v.id for v in g.vertices], g._pairs)[1]
 
 
 def unique_cycle_length(g: RibbonGraph) -> int:
     """Length of the unique cycle of a betti-one graph (a loop counts 1)."""
     if betti_number(g) != 1:
         raise AssertionError("unique_cycle_length needs a graph with one cycle")
-    vertex_of = {h: v.id for v in g.vertices for h in v.order}
-    alive = {e.id for e in g.edges}
-    degree = {v.id: len(v.order) for v in g.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges:
-            if e.id not in alive:
-                continue
-            a, b = vertex_of[e.halves[0]], vertex_of[e.halves[1]]
-            if a != b and (degree[a] == 1 or degree[b] == 1):
-                alive.remove(e.id)
-                degree[a] -= 1
-                degree[b] -= 1
-                changed = True
-    return len(alive)
+    return len(_cycle_core(g._pairs))
 
 
 def cycle_criterion(g: RibbonGraph) -> bool:
@@ -289,10 +282,8 @@ def kauer_move(g: RibbonGraph, edge_id: str) -> RibbonGraph:
         vid = g.half_vertex(half).id
         orders[vid].remove(half)
     for half, far_half in moves:
-        for vid, order in orders.items():
-            if far_half in order:
-                order.insert(order.index(far_half) + 1, half)
-                break
+        order = orders[g.half_vertex(far_half).id]
+        order.insert(order.index(far_half) + 1, half)
     return RibbonGraph(
         vertices=tuple(
             RibbonVertex(v.id, v.multiplicity, tuple(orders[v.id]))
@@ -313,12 +304,7 @@ class Certificate:
     generator_column_sums_verified: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "graph_class": self.graph_class,
-            "statement": self.statement,
-            "generator_column_sums_verified": self.generator_column_sums_verified,
-        }
+        return asdict(self)
 
 
 _CERTIFICATE_STATEMENT = (
@@ -361,35 +347,19 @@ def disconnectedness_certificate(g: RibbonGraph) -> Certificate:
 def canonical_key(g: RibbonGraph) -> tuple:
     """Isomorphism-invariant key: minimal relabelled (rotation, pairing,
     multiplicity) encoding over all choices of root half-edge."""
-    halves = sorted(h for v in g.vertices for h in v.order)
-    nxt = {}
-    mult = {}
-    for v in g.vertices:
-        k = len(v.order)
-        for i, h in enumerate(v.order):
-            nxt[h] = v.order[(i + 1) % k]
-            mult[h] = v.multiplicity
-    partner = {}
-    for e in g.edges:
-        a, b = e.halves
-        partner[a] = b
-        partner[b] = a
-
+    nxt, partner, vertex_of = g._next, g._partner, g._vertex_of
     best = None
-    for root in halves:
-        label = {root: 0}
-        queue = [root]
-        while queue:
-            h = queue.pop(0)
+    for root in nxt:
+        label, queue = {root: 0}, [root]
+        for h in queue:  # breadth first: the queue grows while it is read
             for neighbor in (nxt[h], partner[h]):
                 if neighbor not in label:
                     label[neighbor] = len(label)
                     queue.append(neighbor)
-        inverse = sorted(label, key=label.get)
         encoding = (
-            tuple(label[nxt[h]] for h in inverse),
-            tuple(label[partner[h]] for h in inverse),
-            tuple(mult[h] for h in inverse),
+            tuple(label[nxt[h]] for h in queue),
+            tuple(label[partner[h]] for h in queue),
+            tuple(vertex_of[h].multiplicity for h in queue),
         )
         if best is None or encoding < best:
             best = encoding
@@ -432,27 +402,8 @@ def enumerate_connected_multigraphs(n_edges: int):
             continue
         for combo in itertools.combinations_with_replacement(pairs, n_edges):
             used = {x for pair in combo for x in pair}
-            if len(used) != v:
-                continue
-            if not _edges_connected(v, combo):
-                continue
-            yield from_multigraph(v, list(combo))
-
-
-def _edges_connected(v: int, combo) -> bool:
-    parent = list(range(v + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in combo:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(u) for u in range(1, v + 1)}) == 1
+            if len(used) == v and _traverse(range(1, v + 1), combo)[0] == 1:
+                yield from_multigraph(v, list(combo))
 
 
 def enumerate_ribbon_structures(n_edges: int):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .matrix import RationalMatrix, SingularMatrixError, row_reduce
-from .poly import Polynomial, cyclotomic, is_cyclotomic_product, lcm
+from .poly import Polynomial, is_cyclotomic_product
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE_SINGULAR = "positive_semidefinite_singular"
@@ -84,7 +85,7 @@ def ldl(s: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]], bool]:
     if not s.is_symmetric:
         raise ValueError("LDL^T requires a symmetric matrix")
     n = s.nrows
-    scale = lcm(x.denominator for row in s.entries for x in row)
+    scale = lcm(*(x.denominator for row in s.entries for x in row))
     a = [[x.numerator * (scale // x.denominator) for x in row] for row in s.entries]
     # integer numerators of lower over piv[j], the pivot taken at index j;
     # d[j] = piv[j] / den[j] (den[j] = 0 where no pivot was taken)
@@ -175,7 +176,7 @@ def matrix_order(m: RationalMatrix, cap: int = ORDER_SEARCH_CAP) -> MatrixOrder:
                 "certified_infinite",
                 reason="characteristic polynomial has a root off the unit circle",
             )
-        bound = lcm(indices)
+        bound = lcm(*indices)
         for k in _divisors(bound):
             if m.power(k) == eye:
                 return MatrixOrder("finite", order=k)

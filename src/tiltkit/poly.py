@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable
 
 
@@ -235,9 +234,3 @@ def all_roots_on_unit_circle(p: Polynomial) -> bool:
         changes.append(sum(s != t for s, t in zip(signs, signs[1:])))
     return changes[0] - changes[1] == m
 
-
-def lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out

@@ -7,9 +7,9 @@ normal forms used to classify derived-discrete gentle algebras.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
+from .brauer import _cycle_core, _traverse
 from .matrix import RationalMatrix
 
 
@@ -229,22 +229,6 @@ ONE_CYCLE_NONCLOCK = "one_cycle_nonclock"
 MULTI_CYCLE = "multi_cycle"
 
 
-def _underlying_components(q: Quiver) -> int:
-    parent = list(range(q.vertices + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in q.arrows:
-        ra, rb = find(a.source), find(a.target)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(1, q.vertices + 1)})
-
-
 def clock_condition(g: GentlePresentation) -> str:
     """Cycle shape of a gentle presentation.
 
@@ -253,33 +237,14 @@ def clock_condition(g: GentlePresentation) -> str:
     counts mean the clock condition holds.
     """
     q = g.presentation.quiver
-    betti = len(q.arrows) - q.vertices + _underlying_components(q)
+    pairs = [(a.source, a.target) for a in q.arrows]
+    betti = len(q.arrows) - q.vertices + _traverse(range(1, q.vertices + 1), pairs)[0]
     if betti == 0:
         return TREE
     if betti > 1:
         return MULTI_CYCLE
 
-    # strip leaves of the underlying multigraph to isolate the cycle
-    alive = set(a.id for a in q.arrows)
-    degree = {v: 0 for v in range(1, q.vertices + 1)}
-    for a in q.arrows:
-        degree[a.source] += 1
-        degree[a.target] += 1
-    changed = True
-    while changed:
-        changed = False
-        for a in q.arrows:
-            if a.id not in alive:
-                continue
-            if a.source != a.target and (
-                degree[a.source] == 1 or degree[a.target] == 1
-            ):
-                alive.remove(a.id)
-                degree[a.source] -= 1
-                degree[a.target] -= 1
-                changed = True
-
-    cycle_arrows = [q.arrow(aid) for aid in sorted(alive)]
+    cycle_arrows = sorted((q.arrows[k] for k in _cycle_core(pairs)), key=lambda a: a.id)
     # order the cycle as a closed walk
     first = cycle_arrows[0]
     walk = [(first, True)]  # (arrow, traversed source->target)

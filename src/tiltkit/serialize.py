@@ -108,6 +108,7 @@ def presentation_from_json(data) -> MonomialPresentation:
         _integer(data["vertices"], "'vertices'") >= 1,
         "'vertices' must be a positive integer",
     )
+    _expect(isinstance(data["arrows"], list), "'arrows' must be a list")
     arrows = []
     for a in data["arrows"]:
         _expect(
@@ -117,9 +118,13 @@ def presentation_from_json(data) -> MonomialPresentation:
         arrows.append(
             Arrow(str(a["id"]), _integer(a["from"], "'from'"), _integer(a["to"], "'to'"))
         )
-    relations = tuple(
-        tuple(str(x) for x in rel) for rel in data.get("zero_relations", [])
+    relations = data.get("zero_relations", [])
+    # a string would otherwise be read one character per arrow
+    _expect(
+        isinstance(relations, list) and all(isinstance(rel, list) for rel in relations),
+        "'zero_relations' must be a list of arrow-id lists",
     )
+    relations = tuple(tuple(str(x) for x in rel) for rel in relations)
     try:
         return MonomialPresentation(Quiver(data["vertices"], tuple(arrows)), relations)
     except ValueError as exc:
@@ -146,14 +151,15 @@ def ribbon_from_json(data) -> RibbonGraph:
             isinstance(data.get(key), list),
             f"ribbon graph JSON needs a {key!r} list",
         )
-    # a field of the wrong type (a number for a list, "x" for a multiplicity)
-    # surfaces as TypeError or ValueError from the conversions below
+    # fields of the wrong type are rejected below; a multiplicity below 1 and
+    # the graph's own checks (a half-edge placed twice, a disconnected graph)
+    # surface as ValueError
     try:
         vertices = []
         for v in data["vertices"]:
             _expect(
-                isinstance(v, dict) and {"id", "order"} <= set(v),
-                "each vertex needs 'id' and 'order'",
+                isinstance(v, dict) and isinstance(v.get("order"), list) and "id" in v,
+                "each vertex needs 'id' and an 'order' list",
             )
             vertices.append(
                 RibbonVertex(
@@ -165,8 +171,8 @@ def ribbon_from_json(data) -> RibbonGraph:
         edges = []
         for e in data["edges"]:
             _expect(
-                isinstance(e, dict) and {"id", "halves"} <= set(e),
-                "each edge needs 'id' and 'halves'",
+                isinstance(e, dict) and isinstance(e.get("halves"), list) and "id" in e,
+                "each edge needs 'id' and a 'halves' list",
             )
             halves = [str(h) for h in e["halves"]]
             _expect(len(halves) == 2, "each edge has exactly two halves")

@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from tiltkit import brauer
 from tiltkit.brauer import (
     Certificate,
+    GraphVerdict,
     LeafEdgeError,
     RibbonEdge,
     RibbonGraph,
@@ -61,6 +63,68 @@ def line(k: int = 2) -> RibbonGraph:
 
 def triangle() -> RibbonGraph:
     return from_multigraph(3, [(1, 2), (2, 3), (1, 3)])
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (
+            (RibbonVertex("u", 1, ("a", "b")), RibbonVertex("w", 1, ("b",))),
+            (RibbonEdge("1", ("a", "b")),),
+            "a half-edge appears in two cyclic orders",
+        ),
+        (
+            (RibbonVertex("u", 1, ("a", "b")),),
+            (RibbonEdge("1", ("a", "b")), RibbonEdge("2", ("b", "c"))),
+            "a half-edge belongs to two edges",
+        ),
+        (
+            (RibbonVertex("u", 1, ("a", "b", "c")),),
+            (RibbonEdge("1", ("a", "b")),),
+            "half-edges at vertices and on edges disagree",
+        ),
+        (
+            (RibbonVertex("u", 1, ("a",)), RibbonVertex("u", 1, ("b",))),
+            (RibbonEdge("1", ("a", "b")),),
+            "duplicate vertex id",
+        ),
+        (
+            (RibbonVertex("u", 1, ("a", "b", "c", "d")),),
+            (RibbonEdge("1", ("a", "b")), RibbonEdge("1", ("c", "d"))),
+            "duplicate edge id",
+        ),
+        (
+            (RibbonVertex("u", 1, ("a1", "a2")), RibbonVertex("w", 1, ("b1", "b2"))),
+            (RibbonEdge("1", ("a1", "a2")), RibbonEdge("2", ("b1", "b2"))),
+            "ribbon graph must be connected",
+        ),
+        ((), (), "ribbon graph must be connected"),
+        # two faults at once: the checks run in the order listed above
+        (
+            (RibbonVertex("u", 1, ("a", "a")), RibbonVertex("u", 1, ())),
+            (RibbonEdge("1", ("a", "a")),),
+            "a half-edge appears in two cyclic orders",
+        ),
+        (
+            (RibbonVertex("u", 1, ("a",)), RibbonVertex("u", 1, ("b",))),
+            (RibbonEdge("1", ("a", "b")), RibbonEdge("1", ("b", "a"))),
+            "a half-edge belongs to two edges",
+        ),
+    ],
+)
+def test_validation_messages(vertices, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RibbonGraph(vertices, edges)
+
+
+def test_lookups_read_the_index():
+    g = digon()
+    assert g.half_vertex("h2b").id == "w"
+    assert g.half_edge("h2b").id == "2"
+    assert g.edge("1").halves == ("h1a", "h1b")
+    for lookup, key in ((g.half_vertex, "zz"), (g.half_edge, "zz"), (g.edge, "9")):
+        with pytest.raises(KeyError):
+            lookup(key)
 
 
 def test_validation():
@@ -375,3 +439,293 @@ def test_multiplicities_do_not_change_verdicts():
         plain.edges,
     )
     assert decide(fat) == decide(plain)
+
+
+# -- reference routines: the graph layer before the half-edge index -----------
+# Copied from the earlier implementation (lookups by linear scan, a vertex map
+# rebuilt per routine, one BFS, leaf strip and relabelling of their own) and
+# compared with the index-backed routines on every small graph.
+
+
+def _ref_half_vertex(g, half):
+    for v in g.vertices:
+        if half in v.order:
+            return v
+    raise KeyError(half)
+
+
+def _ref_half_edge(g, half):
+    for e in g.edges:
+        if half in e.halves:
+            return e
+    raise KeyError(half)
+
+
+def _ref_edge(g, edge_id):
+    for e in g.edges:
+        if e.id == edge_id:
+            return e
+    raise KeyError(edge_id)
+
+
+def _ref_is_connected(g) -> bool:
+    if not g.vertices:
+        return False
+    vertex_of = {h: v.id for v in g.vertices for h in v.order}
+    adj: dict[str, set[str]] = {v.id: set() for v in g.vertices}
+    for e in g.edges:
+        a, b = vertex_of.get(e.halves[0]), vertex_of.get(e.halves[1])
+        if a is None or b is None:
+            return True  # defer to the half-edge consistency checks
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {g.vertices[0].id}
+    stack = [g.vertices[0].id]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
+
+
+def _ref_is_bipartite(g: RibbonGraph) -> bool:
+    color: dict[str, int] = {}
+    vertex_of = {h: v.id for v in g.vertices for h in v.order}
+    adj: dict[str, list[str]] = {v.id: [] for v in g.vertices}
+    for e in g.edges:
+        a, b = vertex_of[e.halves[0]], vertex_of[e.halves[1]]
+        if a == b:
+            return False  # a loop is an odd cycle
+        adj[a].append(b)
+        adj[b].append(a)
+    for start in adj:
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True
+
+
+def _ref_unique_cycle_length(g: RibbonGraph) -> int:
+    """Length of the unique cycle of a betti-one graph (a loop counts 1)."""
+    if betti_number(g) != 1:
+        raise AssertionError("unique_cycle_length needs a graph with one cycle")
+    vertex_of = {h: v.id for v in g.vertices for h in v.order}
+    alive = {e.id for e in g.edges}
+    degree = {v.id: len(v.order) for v in g.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            if e.id not in alive:
+                continue
+            a, b = vertex_of[e.halves[0]], vertex_of[e.halves[1]]
+            if a != b and (degree[a] == 1 or degree[b] == 1):
+                alive.remove(e.id)
+                degree[a] -= 1
+                degree[b] -= 1
+                changed = True
+    return len(alive)
+
+
+def _ref_decide(g: RibbonGraph) -> GraphVerdict:
+    b, bip = betti_number(g), _ref_is_bipartite(g)
+    odd = _ref_unique_cycle_length(g) % 2 == 1 if b == 1 else None
+    discrete = b == 0 or (b == 1 and odd)
+    no_free_part = len(g.edges) == len(g.vertices) - (1 if bip else 0)
+    assert discrete == no_free_part
+    return GraphVerdict(b, bip, odd, discrete, not no_free_part)
+
+
+def _ref_canonical_key(g: RibbonGraph) -> tuple:
+    """Isomorphism-invariant key: minimal relabelled (rotation, pairing,
+    multiplicity) encoding over all choices of root half-edge."""
+    halves = sorted(h for v in g.vertices for h in v.order)
+    nxt = {}
+    mult = {}
+    for v in g.vertices:
+        k = len(v.order)
+        for i, h in enumerate(v.order):
+            nxt[h] = v.order[(i + 1) % k]
+            mult[h] = v.multiplicity
+    partner = {}
+    for e in g.edges:
+        a, b = e.halves
+        partner[a] = b
+        partner[b] = a
+
+    best = None
+    for root in halves:
+        label = {root: 0}
+        queue = [root]
+        while queue:
+            h = queue.pop(0)
+            for neighbor in (nxt[h], partner[h]):
+                if neighbor not in label:
+                    label[neighbor] = len(label)
+                    queue.append(neighbor)
+        inverse = sorted(label, key=label.get)
+        encoding = (
+            tuple(label[nxt[h]] for h in inverse),
+            tuple(label[partner[h]] for h in inverse),
+            tuple(mult[h] for h in inverse),
+        )
+        if best is None or encoding < best:
+            best = encoding
+    return best
+
+
+def _ref_predecessor_half(g: RibbonGraph, half: str, skip_edge: str) -> str:
+    """Previous half-edge in the cyclic order, skipping halves of skip_edge."""
+    v = _ref_half_vertex(g, half)
+    pos = v.order.index(half)
+    k = len(v.order)
+    for step in range(1, k + 1):
+        candidate = v.order[(pos - step) % k]
+        if _ref_half_edge(g, candidate).id != skip_edge:
+            return candidate
+    raise ValueError(
+        f"no predecessor outside edge {skip_edge!r}; graph must have >= 2 edges"
+    )
+
+
+def _ref_mutation_g_matrix(g: RibbonGraph, edge_id: str) -> RationalMatrix:
+    e = _ref_edge(g, edge_id)
+    index = {edge.id: k for k, edge in enumerate(g.edges)}
+    n = len(g.edges)
+    col = [0] * n
+    col[index[edge_id]] = -1
+    for half in e.halves:
+        pred = _ref_predecessor_half(g, half, skip_edge=edge_id)
+        col[index[_ref_half_edge(g, pred).id]] += 1
+    rows = [
+        [
+            col[i] if j == index[edge_id] else (1 if i == j else 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return RationalMatrix(rows)
+
+
+def _ref_kauer_move(g: RibbonGraph, edge_id: str) -> RibbonGraph:
+    e = _ref_edge(g, edge_id)
+    moves = []
+    for half in e.halves:
+        pred = _ref_predecessor_half(g, half, skip_edge=edge_id)
+        pred_edge = _ref_half_edge(g, pred)
+        far_half = g.other_half(pred_edge, pred)
+        moves.append((half, far_half))
+
+    orders = {v.id: list(v.order) for v in g.vertices}
+    for half, _ in moves:
+        vid = _ref_half_vertex(g, half).id
+        orders[vid].remove(half)
+    for half, far_half in moves:
+        for vid, order in orders.items():
+            if far_half in order:
+                order.insert(order.index(far_half) + 1, half)
+                break
+    return RibbonGraph(
+        vertices=tuple(
+            RibbonVertex(v.id, v.multiplicity, tuple(orders[v.id]))
+            for v in g.vertices
+        ),
+        edges=g.edges,
+    )
+
+
+def _random_spec(rng: random.Random, n_edges: int, v: int, connected: bool = True):
+    """Vertices and edges over v vertices with loops, multi-edges, shuffled
+    cyclic orders and multiplicities 1 or 2; spanning when connected."""
+    pairs = [(rng.randrange(k), k) for k in range(1, v)] if connected else []
+    while len(pairs) < n_edges:
+        pairs.append((rng.randrange(v), rng.randrange(v)))  # equal ends: a loop
+    rng.shuffle(pairs)
+    orders = [[] for _ in range(v)]
+    edges = []
+    for k, (a, b) in enumerate(pairs, start=1):
+        orders[a].append(f"h{k}a")
+        orders[b].append(f"h{k}b")
+        edges.append(RibbonEdge(str(k), (f"h{k}a", f"h{k}b")))
+    for order in orders:
+        rng.shuffle(order)
+    vertices = tuple(
+        RibbonVertex(f"v{u}", rng.choice((1, 1, 2)), tuple(orders[u])) for u in range(v)
+    )
+    return vertices, tuple(edges)
+
+
+def _reversed(g: RibbonGraph) -> RibbonGraph:
+    return RibbonGraph(
+        tuple(RibbonVertex(v.id, v.multiplicity, v.order[::-1]) for v in g.vertices),
+        g.edges,
+    )
+
+
+def _reference_inputs(kind: str) -> list[RibbonGraph]:
+    if kind == "ribbon-classes":
+        return [g for n in range(1, 6) for g in enumerate_ribbon_structures(n)]
+    if kind == "multigraphs":
+        return [
+            h
+            for n in range(1, 5)
+            for g in enumerate_connected_multigraphs(n)
+            for h in (g, _reversed(g))
+        ]
+    rng = random.Random(711)
+    graphs = []
+    for _ in range(400):
+        n_edges = rng.randint(1, 7)
+        v = rng.randint(1, n_edges + 1)
+        graphs.append(RibbonGraph(*_random_spec(rng, n_edges, v)))
+    return graphs
+
+
+REFERENCE_KINDS = ["ribbon-classes", "multigraphs", "random"]
+
+
+@pytest.mark.parametrize("kind", REFERENCE_KINDS)
+def test_verdicts_match_reference(kind):
+    for g in _reference_inputs(kind):
+        assert _ref_is_connected(g)
+        assert is_bipartite(g) == _ref_is_bipartite(g)
+        if betti_number(g) == 1:
+            assert unique_cycle_length(g) == _ref_unique_cycle_length(g)
+        assert decide(g) == _ref_decide(g)
+        assert canonical_key(g) == _ref_canonical_key(g)
+
+
+@pytest.mark.parametrize("kind", REFERENCE_KINDS)
+def test_mutations_match_reference(kind):
+    for g in _reference_inputs(kind):
+        for eid in _nonleaf_edges(g):
+            assert mutation_g_matrix(g, eid) == _ref_mutation_g_matrix(g, eid)
+            moved = kauer_move(g, eid)
+            assert moved == _ref_kauer_move(g, eid)
+            assert canonical_key(moved) == _ref_canonical_key(moved)
+
+
+def test_connectivity_matches_reference():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(500):
+        n_edges = rng.randint(0, 5)
+        vertices, edges = _random_spec(rng, n_edges, rng.randint(1, 5), connected=False)
+        connected = _ref_is_connected(SimpleNamespace(vertices=vertices, edges=edges))
+        verdicts.add(connected)
+        if connected:
+            RibbonGraph(vertices, edges)
+        else:
+            with pytest.raises(ValueError, match="^ribbon graph must be connected$"):
+                RibbonGraph(vertices, edges)
+    assert verdicts == {True, False}

@@ -127,6 +127,19 @@ def _digon_with_mult(mult):
     return {**DIGON_MULT_X, "vertices": vertices}
 
 
+LOOP_AS_STRINGS = {
+    "vertices": [{"id": "u", "order": "ab"}],
+    "edges": [{"id": "1", "halves": "ab"}],
+}
+
+
+def _loop_as(vertex, edge):
+    return {
+        "vertices": [{**LOOP_AS_STRINGS["vertices"][0], **vertex}],
+        "edges": [{**LOOP_AS_STRINGS["edges"][0], **edge}],
+    }
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [
@@ -142,6 +155,9 @@ def _digon_with_mult(mult):
         (["selfinjective", "--cycles", '[["2"]]'], None),
         (["selfinjective", "--cycles", "[[]]"], None),
         (["selfinjective", "--cycles", "[[],[1]]"], None),
+        (["brauer", "decide", "--graph"], LOOP_AS_STRINGS),
+        (["brauer", "decide", "--graph"], _loop_as({"order": ["a", "b"]}, {"halves": "ab"})),
+        (["brauer", "decide", "--graph"], _loop_as({"order": "ab"}, {"halves": ["a", "b"]})),
     ],
     ids=[
         "cycles-not-json",
@@ -156,6 +172,9 @@ def _digon_with_mult(mult):
         "cycles-point-string",
         "cycles-empty",
         "cycles-empty-beside-fixed-point",
+        "order-and-halves-strings",
+        "halves-string",
+        "order-string",
     ],
 )
 def test_exit_code_malformed_fields(capsys, tmp_path, command, payload):

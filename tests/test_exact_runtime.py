@@ -1,6 +1,6 @@
 """The runtime decides every verdict over the rationals: no module of the
 package imports numpy or touches a float, and a full CLI run never loads
-numpy."""
+numpy.  No module imports a name it never uses."""
 
 import ast
 import json
@@ -43,6 +43,36 @@ def test_no_numpy_and_no_float(path):
 def test_scan_sees_what_it_forbids():
     code = "import numpy as np\nfrom numpy.linalg import eig\nx = 1e-9\ny = float(2)\n"
     assert len(_float_uses(ast.parse(code))) == 4
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names bound by an import (other than ``from __future__``) that the
+    module never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+# __init__.py imports to re-export
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_unused_import_scan_sees_what_it_forbids():
+    code = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom math import gcd, lcm\n"
+        "from .poly import cyclotomic\nx = lcm(2, 3)\n"
+    )
+    assert _unused_imports(ast.parse(code)) == ["os", "j", "gcd", "cyclotomic"]
 
 
 def test_cli_run_never_imports_numpy(tmp_path):

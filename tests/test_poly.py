@@ -11,7 +11,6 @@ from tiltkit.poly import (
     cyclotomic,
     euler_phi,
     is_cyclotomic_product,
-    lcm,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-5, max_value=5), max_size=6)
@@ -134,9 +133,3 @@ def test_cyclotomic_product_roots_on_unit_circle():
         sf = p.divmod(p.gcd(p.derivative()))[0]
         roots = np.roots([float(c) for c in reversed(sf.coeffs)])
         assert np.all(np.abs(np.abs(roots) - 1.0) <= 1e-9)
-
-
-def test_lcm():
-    assert lcm([2, 2, 6]) == 6
-    assert lcm([4, 6]) == 12
-    assert lcm([]) == 1

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from tiltkit.quiver import (
     ONE_CYCLE_NONCLOCK,
     TREE,
     Arrow,
+    GentlePresentation,
     InfiniteDimensionalError,
     MonomialPresentation,
     Quiver,
@@ -260,3 +262,144 @@ def test_bgs_normal_form_shape():
         bgs_normal_form(3, 4, 0)
     with pytest.raises(ValueError):
         bgs_normal_form(3, 0, 0)
+
+
+# -- reference: the clock condition with its own union-find and leaf strip ----
+# Copied from the earlier implementation and compared with the one that reads
+# the multigraph core shared with ``brauer``.
+
+
+def _ref_underlying_components(q: Quiver) -> int:
+    parent = list(range(q.vertices + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in q.arrows:
+        ra, rb = find(a.source), find(a.target)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(v) for v in range(1, q.vertices + 1)})
+
+
+def _ref_clock_condition(g: GentlePresentation) -> str:
+    q = g.presentation.quiver
+    betti = len(q.arrows) - q.vertices + _ref_underlying_components(q)
+    if betti == 0:
+        return TREE
+    if betti > 1:
+        return MULTI_CYCLE
+
+    # strip leaves of the underlying multigraph to isolate the cycle
+    alive = set(a.id for a in q.arrows)
+    degree = {v: 0 for v in range(1, q.vertices + 1)}
+    for a in q.arrows:
+        degree[a.source] += 1
+        degree[a.target] += 1
+    changed = True
+    while changed:
+        changed = False
+        for a in q.arrows:
+            if a.id not in alive:
+                continue
+            if a.source != a.target and (
+                degree[a.source] == 1 or degree[a.target] == 1
+            ):
+                alive.remove(a.id)
+                degree[a.source] -= 1
+                degree[a.target] -= 1
+                changed = True
+
+    cycle_arrows = [q.arrow(aid) for aid in sorted(alive)]
+    # order the cycle as a closed walk
+    first = cycle_arrows[0]
+    walk = [(first, True)]  # (arrow, traversed source->target)
+    used = {first.id}
+    current = first.target
+    while len(walk) < len(cycle_arrows):
+        for a in cycle_arrows:
+            if a.id in used:
+                continue
+            if a.source == current:
+                walk.append((a, True))
+                used.add(a.id)
+                current = a.target
+                break
+            if a.target == current:
+                walk.append((a, False))
+                used.add(a.id)
+                current = a.source
+                break
+        else:
+            raise AssertionError("betti-one core is a single closed walk")
+
+    relations = {rel for rel in g.presentation.zero_relations}
+    clockwise = counter = 0
+    k = len(walk)
+    for idx in range(k):
+        (a, fwd_a) = walk[idx]
+        (b, fwd_b) = walk[(idx + 1) % k]
+        if k == 1:
+            # loop: the only composition is the loop with itself
+            if (a.id, a.id) in relations:
+                clockwise += 1
+            continue
+        if fwd_a and fwd_b and (a.id, b.id) in relations:
+            clockwise += 1
+        if not fwd_a and not fwd_b and (b.id, a.id) in relations:
+            counter += 1
+    return ONE_CYCLE_CLOCK if clockwise == counter else ONE_CYCLE_NONCLOCK
+
+
+def _presentations_in_this_file() -> list[MonomialPresentation]:
+    """The presentations the clock-condition and 3-cycle tests above use, the
+    bgs normal forms, and seeded one-cycle quivers with random relations."""
+    square = (Arrow("a", 1, 2), Arrow("b", 3, 2), Arrow("c", 3, 4), Arrow("d", 1, 4))
+    triangles = (
+        Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1), Arrow("j", 3, 4),
+        Arrow("d", 4, 5), Arrow("e", 5, 6), Arrow("f", 6, 4),
+    )
+    out = [
+        MonomialPresentation(Quiver(3, (Arrow("a", 1, 2), Arrow("b", 1, 3))), ()),
+        MonomialPresentation(
+            Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 1), Arrow("c", 1, 2), Arrow("d", 2, 1))),
+            (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")),
+        ),
+        MonomialPresentation(Quiver(4, square), ()),
+        MonomialPresentation(
+            Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 1))),
+            (("a", "b"), ("b", "c"), ("c", "a")),
+        ),
+        MonomialPresentation(Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3))), (("a", "b"),)),
+        MonomialPresentation(
+            Quiver(6, triangles),
+            (("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f"), ("f", "d")),
+        ),
+    ]
+    out += [bgs_normal_form(n, r, m) for n in range(1, 7) for r in range(1, n + 1)
+            for m in range(4)]
+    rng = random.Random(3)
+    for _ in range(300):
+        v = rng.randint(1, 6)
+        ends = [(rng.randrange(1, k + 1), k + 1) for k in range(1, v)]
+        ends += [(rng.randint(1, v), rng.randint(1, v)) for _ in range(rng.randint(0, 2))]
+        arrows = tuple(
+            Arrow(f"x{rng.randrange(100)}_{k}", *(pair if rng.random() < 0.5 else pair[::-1]))
+            for k, pair in enumerate(ends)
+        )
+        composable = [(a.id, b.id) for a in arrows for b in arrows if a.target == b.source]
+        relations = tuple(p for p in composable if rng.random() < 0.5)
+        out.append(MonomialPresentation(Quiver(v, arrows), relations))
+    return out
+
+
+def test_clock_condition_matches_reference():
+    verdicts = set()
+    for pres in _presentations_in_this_file():
+        g = GentlePresentation(pres)
+        verdicts.add(_ref_clock_condition(g))
+        assert clock_condition(g) == _ref_clock_condition(g)
+    assert verdicts == {TREE, ONE_CYCLE_CLOCK, ONE_CYCLE_NONCLOCK, MULTI_CYCLE}

@@ -85,8 +85,13 @@ def test_presentation_malformed():
                 "zero_relations": [["a"]],
             }
         )
+    # strings where lists belong, which were read one character at a time;
     # booleans and non-integral numbers, which int() read as 1 or truncated
     for bad in (
+        {"vertices": 2, "arrows": [{"id": "x", "from": 1, "to": 2}], "zero_relations": ["xy"]},
+        {"vertices": 2, "arrows": [{"id": "x", "from": 1, "to": 2}], "zero_relations": "xy"},
+        {"vertices": 2, "arrows": "xy"},
+        {"vertices": 2, "arrows": 5},
         {"vertices": True, "arrows": []},
         {"vertices": 2, "arrows": [{"id": "a", "from": 1.9, "to": 2}]},
         {"vertices": 2, "arrows": [{"id": "a", "from": 1, "to": 2.5}]},
@@ -121,6 +126,15 @@ def test_ribbon_malformed():
                 "edges": [{"id": "1", "halves": ["h1"]}],
             }
         )
+    # strings where lists belong, which were read one character at a time
+    for order, halves in (("ab", "ab"), ("ab", ["a", "b"]), (["a", "b"], "ab")):
+        with pytest.raises(MalformedInputError):
+            ribbon_from_json(
+                {
+                    "vertices": [{"id": "u", "order": order}],
+                    "edges": [{"id": "1", "halves": halves}],
+                }
+            )
     # disconnected graph is structurally invalid, flagged as malformed
     with pytest.raises(MalformedInputError):
         ribbon_from_json(
