@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .linalg import matrix_order
@@ -40,12 +41,17 @@ def _check_generators(generators: dict[str, RationalMatrix]) -> int:
     }
     if len(sizes) != 1:
         raise ValueError("generators must be square matrices of one size")
+    # g-matrices lie in GL_n(Z); the shift search runs on Python ints
+    for name, g in generators.items():
+        if not g.is_integral:
+            raise ValueError(f"generator {name!r} is not an integer matrix")
     return sizes.pop()
 
 
 def generate(generators: dict[str, RationalMatrix], depth: int) -> Frontier:
-    """All distinct products of at most `depth` generators, starting from the
-    identity; exact deduplication, words grown by right multiplication.
+    """All distinct products of at most `depth` integer generators, starting
+    from the identity; exact deduplication, words grown by right
+    multiplication.
 
     A node first reached from its parent by an involution g (g g = E) has
     node g = parent, so that edge is recorded without a product.
@@ -123,28 +129,94 @@ def shift_targets(n: int) -> list[RationalMatrix]:
     ]
 
 
-def is_negated_permutation(m: RationalMatrix) -> bool:
-    """Whether m is in ``shift_targets(m.nrows)``, decided in O(n^2): every
-    row holds a single nonzero entry -1, in pairwise distinct columns."""
-    if not m.is_square:
+def _negated_permutation(m: tuple, n: int) -> bool:
+    """Whether the flat row-major n x n entries m are a negated permutation
+    matrix: n entries -1 in pairwise distinct rows and columns, all others 0."""
+    if m.count(-1) != n or m.count(0) != n * n - n:
         return False
-    columns = set()
-    for row in m.entries:
-        nonzero = [j for j, x in enumerate(row) if x]
-        if len(nonzero) != 1 or row[nonzero[0]] != -1:
-            return False
-        columns.add(nonzero[0])
-    return len(columns) == m.nrows
+    hits = [k for k, x in enumerate(m) if x]
+    return len({k // n for k in hits}) == n == len({k % n for k in hits})
+
+
+def is_negated_permutation(m: RationalMatrix) -> bool:
+    """Whether m is in ``shift_targets(m.nrows)``, decided in O(n^2)."""
+    return m.is_square and _negated_permutation(
+        tuple(x for row in m.entries for x in row), m.nrows
+    )
+
+
+def _rows(m: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    return [m[r : r + n] for r in range(0, n * n, n)]
+
+
+def _product(rows: list[tuple[int, ...]], cols: list[tuple[int, ...]]) -> tuple[int, ...]:
+    return tuple([sum(map(mul, row, col)) for row in rows for col in cols])
+
+
+def _find_shift(
+    generators: dict[str, RationalMatrix], depth: int
+) -> tuple[tuple[str, ...], RationalMatrix] | None:
+    """The first negated permutation among the nodes of
+    ``generate(generators, depth)``, in their order, as (word, matrix).
+
+    The same breadth-first walk on flat row-major int tuples: each node keeps
+    only its entries, its parent and its last generator.  Every product is
+    tested before deduplication; the first hit is a new node, since an
+    earlier copy would have ended the walk (the identity is no negated
+    permutation).  So the last layer is tested and never stored, and no
+    frontier, edge or per-node matrix is built.
+    """
+    n = next(iter(generators.values())).nrows
+    names = sorted(generators)
+    flat = {
+        name: tuple(int(x) for row in generators[name].entries for x in row)
+        for name in names
+    }
+    cols = {name: [g[j::n] for j in range(n)] for name, g in flat.items()}
+    start = tuple(int(i == j) for i in range(n) for j in range(n))
+    involutions = {
+        name for name in names if _product(_rows(flat[name], n), cols[name]) == start
+    }
+    keys = [start]
+    seen = {start}
+    parents: list[int] = [0]
+    lasts: list[str | None] = [None]
+    lo = 0
+    for d in range(1, depth + 1):
+        hi = len(keys)
+        for i in range(lo, hi):
+            rows = _rows(keys[i], n)
+            back = lasts[i] if lasts[i] in involutions else None
+            for name in names:
+                if name == back:
+                    continue  # the product is the parent
+                m = _product(rows, cols[name])
+                if _negated_permutation(m, n):
+                    word = [name]
+                    while i:
+                        word.append(lasts[i])
+                        i = parents[i]
+                    return tuple(reversed(word)), RationalMatrix(_rows(m, n))
+                if d < depth and m not in seen:
+                    seen.add(m)
+                    keys.append(m)
+                    parents.append(i)
+                    lasts.append(name)
+        if hi == len(keys):
+            break
+        lo = hi
+    return None
 
 
 def reach_shift(
     generators: dict[str, RationalMatrix], max_depth: int
 ) -> SearchResult:
-    """Search for a product of generators equal to a negated permutation.
+    """Search for a product of integer generators equal to a negated
+    permutation.
 
-    Each node of the breadth-first frontier is tested with
-    :func:`is_negated_permutation`; the first hit in frontier order is
-    returned.  When every generator has all column sums 1, products keep
+    The nodes of the breadth-first frontier of :func:`generate` are tested
+    in order and the first hit is returned; the walk runs on Python ints and
+    stops there.  When every generator has all column sums 1, products keep
     that property while every target has column sums -1, so the search is
     certified unreachable without enumeration.
     """
@@ -159,16 +231,15 @@ def reach_shift(
                 "products; every negated permutation has column sums -1"
             ),
         )
-    frontier = generate(generators, max_depth)
-    for node in frontier.nodes:
-        if is_negated_permutation(node.matrix):
-            return SearchResult(
-                status="found",
-                word=node.word,
-                target=node.matrix,
-                depth_searched=node.depth,
-            )
-    return SearchResult(status="not_found_within_depth", depth_searched=max_depth)
+    if max_depth < 0:
+        raise ValueError("depth must be >= 0")
+    hit = _find_shift(generators, max_depth)
+    if hit is None:
+        return SearchResult(status="not_found_within_depth", depth_searched=max_depth)
+    word, target = hit
+    return SearchResult(
+        status="found", word=word, target=target, depth_searched=len(word)
+    )
 
 
 # the two 2x2 negated permutation matrices

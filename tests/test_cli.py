@@ -260,6 +260,19 @@ def test_env_depth_override(capsys, monkeypatch, tmp_path):
     _run(capsys, ["explore", "reach-shift", "--gens", str(f)], expect_code=2)
 
 
+@pytest.mark.parametrize("action", ["reach-shift", "frontier"])
+def test_explore_refuses_non_integral_generators(capsys, tmp_path, action):
+    f = tmp_path / "gens.json"
+    f.write_text(json.dumps({
+        "T": {"entries": [["-1", "0"], ["1", "1"]]},
+        "U": {"entries": [["1/2", "1"], ["0", "-1"]]},
+    }))
+    out = _run(capsys, ["explore", action, "--gens", str(f)], expect_code=1)
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain"
+    assert "'U' is not an integer matrix" in error["message"]
+
+
 def test_determinism(capsys):
     a = _run(capsys, ["family", "--list"])
     b = _run(capsys, ["family", "--list"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,77 @@ def test_reach_shift_matches_reference_on_kronecker_pairs():
         gens = kronecker_gens(l)
         assert reach_shift(gens, 12) == _reference_reach_shift(gens, 12)
         assert generate(gens, 8) == _reference_generate(gens, 8)
+
+
+def _coupled_involutions(rng, n):
+    # involutions g_i = E except column i = -e_i + v_i, each pair coupled
+    # through entries 3, so every pair generates an infinite dihedral group
+    columns = rng.sample(range(n), 2 if n == 2 else 3)
+    gens = {}
+    for k, i in enumerate(columns):
+        v = [0 if r == i else 3 if r in columns else rng.choice((-1, 0, 1))
+             for r in range(n)]
+        gens[f"g{k}"] = RationalMatrix(
+            [[(-1 if r == i else v[r]) if col == i else int(r == col)
+              for col in range(n)] for r in range(n)]
+        )
+    return gens
+
+
+def _padded_kronecker_pair(rng, n):
+    # the l = 1 pair T, U padded with -1 and conjugated by a permutation
+    perm = rng.sample(range(n), n)
+    gens = {}
+    for name, base in kronecker_gens(1).items():
+        full = [
+            [base[r, col] if r < 2 and col < 2 else -int(r == col)
+             for col in range(n)]
+            for r in range(n)
+        ]
+        gens[name] = RationalMatrix(
+            [[full[perm[r]][perm[col]] for col in range(n)] for r in range(n)]
+        )
+    return gens
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_walk_matches_reference_on_coupled_involutions(n):
+    rng = random.Random(n)
+    for depth in (3, 4, 5):
+        gens = _coupled_involutions(rng, n)
+        assert generate(gens, depth) == _reference_generate(gens, depth)
+        assert reach_shift(gens, depth) == _reference_reach_shift(gens, depth)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_reach_shift_matches_reference_on_padded_pairs(n):
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        gens = _padded_kronecker_pair(rng, n)
+        result = reach_shift(gens, 8)
+        assert result == _reference_reach_shift(gens, 8)
+        assert result.status == "found" and result.depth_searched == 3
+        assert generate(gens, 4) == _reference_generate(gens, 4)
+
+
+def test_reach_shift_deep_in_a_finite_group():
+    # signed permutations of the first two coordinates, the third fixed: a
+    # group of order 8 without a negated permutation; R has order 4, so
+    # without deduplication the frontier would double at every layer
+    d = RationalMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    p = RationalMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    gens = {"D": d, "P": p, "R": p @ d}
+    result = reach_shift(gens, 60)
+    assert result.status == "not_found_within_depth"
+    assert result == _reference_reach_shift(gens, 60)
+    assert len(generate(gens, 60).nodes) == 8
+
+
+def test_non_integral_generators_are_refused():
+    gens = dict(kronecker_gens(1), V=RationalMatrix([["1/2", 0], [0, 1]]))
+    for search in (generate, reach_shift):
+        with pytest.raises(ValueError, match="generator 'V' is not an integer"):
+            search(gens, 3)
 
 
 def test_is_negated_permutation_all_3x3_sign_matrices():
