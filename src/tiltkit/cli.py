@@ -260,7 +260,7 @@ def _cmd_explore(args) -> int:
             raise DomainError("--m must be >= 1")
         mu1 = RationalMatrix([[-1, 0], [args.m, 1]])
         mu2 = RationalMatrix([[1, 1], [0, -1]])
-        result = alternating_shift_search(mu1, mu2, bound=args.bound)
+        result = alternating_shift_search(mu1, mu2)
         out = result.to_dict()
         out["mu1"] = matrix_to_json(mu1)
         out["mu2"] = matrix_to_json(mu2)
@@ -371,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--t", type=int, default=20, help="number of delta terms")
-    p.add_argument("--bound", type=int, default=100)
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("lattice", help="integer solutions of v^T C v = z")

@@ -14,13 +14,9 @@ import itertools
 import math
 from fractions import Fraction
 
+from .explore import delta
 from .linalg import ldl
 from .matrix import RationalMatrix
-
-
-def _form_value(c: RationalMatrix, v) -> Fraction:
-    w = c.vec_mul(v)
-    return sum(Fraction(x) * y for x, y in zip(v, w))
 
 
 def _int_range(center: Fraction, radius2: Fraction) -> range:
@@ -88,7 +84,7 @@ def solutions(c: RationalMatrix, z) -> tuple[tuple[int, ...], ...]:
     descend(n - 1, z)
     # exact final check: the enumeration above is already exact, so every
     # vector collected satisfies the equation; raise rather than filter
-    if not all(_form_value(c, v) == z for v in out):
+    if not all(delta(c, v) == z for v in out):
         raise AssertionError("lattice enumeration returned a non-solution")
     return tuple(sorted(out))
 
@@ -107,6 +103,6 @@ def bounded_box(
     out = [
         v
         for v in itertools.product(range(-radius, radius + 1), repeat=n)
-        if _form_value(c, v) == z
+        if delta(c, v) == z
     ]
     return tuple(sorted(out))

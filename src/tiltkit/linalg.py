@@ -1,9 +1,11 @@
 """Exact spectral invariants: characteristic/minimal polynomials, definiteness,
-matrix orders, Coxeter matrices and the Euler form.
+the exact order of every rational matrix with det +-1, Coxeter matrices and
+the Euler form.
 
 Both polynomials read the memoised ``RationalMatrix.powers`` (Newton's
 identities on their traces; one Krylov row reduction), so a matrix asked
-for both pays its n - 1 products once.  No float ever decides a verdict.
+for both pays its n - 1 products once, and the order is read off the two.
+No float ever decides a verdict.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ POSITIVE_SEMIDEFINITE_SINGULAR = "positive_semidefinite_singular"
 INDEFINITE = "indefinite"
 NEGATIVE_SEMIDEFINITE_SINGULAR = "negative_semidefinite_singular"
 NEGATIVE_DEFINITE = "negative_definite"
-
-ORDER_SEARCH_CAP = 10_000
 
 
 def char_poly(m: RationalMatrix) -> Polynomial:
@@ -53,14 +53,6 @@ def min_poly(m: RationalMatrix) -> tuple[Polynomial, bool]:
     k = next(j for j in range(n + 1) if j not in pivots)
     p = Polynomial([Fraction(-krylov[i][k], pivot) for i in range(k)] + [1])
     return p, p.is_squarefree
-
-
-def evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
-    acc = RationalMatrix.zero(m.nrows)
-    eye = RationalMatrix.identity(m.nrows)
-    for c in reversed(p.coeffs):
-        acc = acc @ m + eye.scale(c)
-    return acc
 
 
 def ldl(s: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]], bool]:
@@ -135,70 +127,48 @@ def definiteness(s: RationalMatrix) -> str:
 
 @dataclass(frozen=True)
 class MatrixOrder:
-    """Multiplicative order of an integral matrix with determinant +-1."""
+    """Multiplicative order of a rational matrix with determinant +-1."""
 
-    kind: str  # "finite" | "certified_infinite" | "unknown"
+    kind: str  # "finite" | "certified_infinite"
     order: int | None = None
-    bound: int | None = None
     reason: str = ""
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def matrix_order(m: RationalMatrix) -> MatrixOrder:
+    """Exact order of a rational matrix with det +-1, read off its spectrum.
 
-
-def matrix_order(m: RationalMatrix, cap: int = ORDER_SEARCH_CAP) -> MatrixOrder:
+    M^k = E makes every eigenvalue a root of unity and the minimal
+    polynomial a divisor of x^k - 1.  So the characteristic polynomial has
+    rational algebraic-integer, that is integral, coefficients and is a
+    product of cyclotomics, and the minimal polynomial is squarefree.
+    Conversely these make M diagonalizable with eigenvalues of exact orders
+    the cyclotomic indices, so its order is their lcm.  Both polynomials
+    read the memoised powers; no power of M beyond M^n is formed.
+    """
     if not m.is_square:
         raise ValueError("order of a non-square matrix")
     d = m.det()
     if d not in (1, -1):
         raise ValueError(f"matrix order requires det = +-1, got {d}")
-    n = m.nrows
-    eye = RationalMatrix.identity(n)
-    if m == eye:
-        return MatrixOrder("finite", order=1)
     p = char_poly(m)
-    if m.is_integral:
-        ok, indices = is_cyclotomic_product(p)
-        if not ok:
-            # Kronecker: a monic integral polynomial with all roots on the
-            # unit circle is a product of cyclotomics, so some eigenvalue
-            # lies off the circle and powers never return to the identity.
-            return MatrixOrder(
-                "certified_infinite",
-                reason="characteristic polynomial has a root off the unit circle",
-            )
-        bound = lcm(*indices)
-        for k in _divisors(bound):
-            if m.power(k) == eye:
-                return MatrixOrder("finite", order=k)
+    if not p.is_integral:
+        return MatrixOrder(
+            "certified_infinite", reason="characteristic polynomial is not integral"
+        )
+    ok, indices = is_cyclotomic_product(p)
+    if not ok:
+        # Kronecker: a monic integral polynomial with all roots on the unit
+        # circle is a product of cyclotomics, so some eigenvalue lies off it.
+        return MatrixOrder(
+            "certified_infinite",
+            reason="characteristic polynomial has a root off the unit circle",
+        )
+    if not min_poly(m)[1]:
         return MatrixOrder(
             "certified_infinite",
             reason="eigenvalues are roots of unity but the matrix is not semisimple",
         )
-    # rational, non-integral input
-    if n == 2 and d == 1:
-        t = m.trace()
-        if abs(t) > 2:
-            return MatrixOrder("certified_infinite", reason="|trace| > 2")
-        if abs(t) == 2 and m != eye and m != -eye:
-            return MatrixOrder(
-                "certified_infinite", reason="parabolic: trace +-2 but not +-E"
-            )
-    power = m
-    for k in range(1, cap + 1):
-        if power == eye:
-            return MatrixOrder("finite", order=k)
-        power = power @ m
-    return MatrixOrder("unknown", bound=cap)
+    return MatrixOrder("finite", order=lcm(*indices))
 
 
 def coxeter_matrix(c: RationalMatrix) -> RationalMatrix:

@@ -158,21 +158,6 @@ class RationalMatrix:
             object.__setattr__(self, "_powers", tuple(seq))
         return self._powers
 
-    def power(self, k: int) -> "RationalMatrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            return self.inverse().power(-k)
-        result = RationalMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
-
     @property
     def T(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.entries)))

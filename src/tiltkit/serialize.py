@@ -78,14 +78,6 @@ def poly_to_json(p: Polynomial) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def poly_from_json(data) -> Polynomial:
-    _expect(isinstance(data, list), "polynomial JSON must be a coefficient array")
-    try:
-        return Polynomial([Fraction(c) for c in data])
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"bad coefficient array: {exc}") from None
-
-
 # -- quivers ------------------------------------------------------------------
 
 

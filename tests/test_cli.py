@@ -51,6 +51,10 @@ def test_alternating_golden(capsys):
     assert out == (GOLDEN / "alternating_m4.json").read_text()
 
 
+def test_alternating_has_no_bound_option(capsys):
+    _run(capsys, ["explore", "alternating", "--m", "4", "--bound", "5"], expect_code=2)
+
+
 def test_lattice_golden(capsys):
     out = _run(capsys, ["lattice", "--family", "c3c3_c2", "--z", "5"])
     assert out == (GOLDEN / "lattice_c3c3_z5.json").read_text()

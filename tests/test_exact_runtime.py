@@ -1,6 +1,7 @@
 """The runtime decides every verdict over the rationals: no module of the
 package imports numpy or touches a float, and a full CLI run never loads
-numpy.  No module imports a name it never uses."""
+numpy.  No module imports a name it never uses, and no cross-check is a bare
+``assert``, which ``python -O`` strips."""
 
 import ast
 import json
@@ -73,6 +74,25 @@ def test_unused_import_scan_sees_what_it_forbids():
         "from .poly import cyclotomic\nx = lcm(2, 3)\n"
     )
     assert _unused_imports(ast.parse(code)) == ["os", "j", "gcd", "cyclotomic"]
+
+
+def _bare_asserts(tree: ast.AST) -> list[int]:
+    """Lines of ``assert`` statements."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_assert(path):
+    assert _bare_asserts(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_assert_scan_sees_what_it_forbids():
+    code = (
+        "def f(x):\n    assert x > 0, 'positive'\n"
+        "    if x > 1:\n        raise AssertionError('kept under -O')\n"
+        "    assert x\n"
+    )
+    assert _bare_asserts(ast.parse(code)) == [2, 5]
 
 
 def test_cli_run_never_imports_numpy(tmp_path):

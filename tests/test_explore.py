@@ -113,6 +113,15 @@ def test_alternating_certified_never_large_m():
         assert "infinite order" in r.reason
 
 
+def test_alternating_kronecker_rays_never_reach_the_bounded_loop():
+    # G = mu2 mu1 has det 1 and an exact order verdict for every m >= 1, so
+    # the search ends before its bounded loop even with bound = 0
+    mu2 = RationalMatrix([[1, 1], [0, -1]])
+    for m in range(1, 101):
+        r = alternating_shift_search(RationalMatrix([[-1, 0], [m, 1]]), mu2, bound=0)
+        assert r.status == ("reached" if m <= 3 else "certified_never"), m
+
+
 def test_alternating_requires_2x2():
     with pytest.raises(ValueError):
         alternating_shift_search(

@@ -1,6 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,14 @@ from tiltkit.linalg import (
     coxeter_matrix,
     definiteness,
     euler_form,
-    evaluate_at_matrix,
+    MatrixOrder,
     matrix_order,
     min_poly,
     trivial_extension_cartan,
 )
 from tiltkit.matrix import RationalMatrix
-from tiltkit.poly import Polynomial
+from tiltkit.explore import alternating_shift_search
+from tiltkit.poly import Polynomial, cyclotomic, is_cyclotomic_product
 
 small_ints = st.integers(min_value=-4, max_value=4)
 
@@ -32,6 +35,23 @@ def square(n):
     return st.lists(
         st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(RationalMatrix)
+
+
+def _evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
+    """p(M) by Horner's rule."""
+    acc = RationalMatrix.zero(m.nrows)
+    eye = RationalMatrix.identity(m.nrows)
+    for c in reversed(p.coeffs):
+        acc = acc @ m + eye.scale(c)
+    return acc
+
+
+def _power(m: RationalMatrix, k: int) -> RationalMatrix:
+    """M^k (k >= 0) by k products."""
+    out = RationalMatrix.identity(m.nrows)
+    for _ in range(k):
+        out = out @ m
+    return out
 
 
 FOUR_VERTEX_C = RationalMatrix([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
@@ -51,7 +71,7 @@ def test_char_poly_examples():
 def test_cayley_hamilton(m):
     p = char_poly(m)
     assert p.is_monic and p.degree == m.nrows
-    assert evaluate_at_matrix(p, m) == RationalMatrix.zero(m.nrows)
+    assert _evaluate_at_matrix(p, m) == RationalMatrix.zero(m.nrows)
 
 
 def test_min_poly_examples():
@@ -198,16 +218,20 @@ def test_definiteness_vs_oracles_3x3(m):
 
 def test_matrix_order_examples():
     assert matrix_order(RationalMatrix([[1, 1], [-2, -1]])).order == 4
-    assert matrix_order(RationalMatrix.identity(3)).order == 1
+    assert matrix_order(RationalMatrix.identity(3)) == MatrixOrder("finite", order=1)
     r = matrix_order(RationalMatrix([[4, 1], [-5, -1]]))
     assert r.kind == "certified_infinite"
     assert matrix_order(RationalMatrix([[2, 1], [-3, -1]])).order == 6
     assert matrix_order(-RationalMatrix.identity(2)).order == 2
-    # parabolic: trace 2 but not the identity
+    # parabolic: eigenvalues 1, 1 but not the identity
     r = matrix_order(RationalMatrix([[1, 1], [0, 1]]))
-    assert r.kind == "certified_infinite"
+    assert r.kind == "certified_infinite" and "not semisimple" in r.reason
+    r = matrix_order(RationalMatrix([[-1, 1, 0], [0, -1, 0], [0, 0, 1]]))
+    assert r.kind == "certified_infinite" and "not semisimple" in r.reason
     with pytest.raises(ValueError):
         matrix_order(RationalMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        matrix_order(RationalMatrix([[1, 0]]))
 
 
 def test_matrix_order_minimality():
@@ -218,17 +242,204 @@ def test_matrix_order_minimality():
     ]:
         assert matrix_order(m).order == k
         eye = RationalMatrix.identity(2)
-        assert m.power(k) == eye
-        assert all(m.power(j) != eye for j in range(1, k))
+        assert _power(m, k) == eye
+        assert all(_power(m, j) != eye for j in range(1, k))
+
+
+ROTATION = RationalMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
 
 
 def test_matrix_order_non_integral():
     half = RationalMatrix([["1/2", 0], [0, 2]])
     r = matrix_order(half)
-    assert r.kind == "certified_infinite"  # 2x2 det 1, |trace| > 2
-    rot = RationalMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
-    r = matrix_order(rot, cap=50)
-    assert r.kind == "unknown" and r.bound == 50
+    assert r.kind == "certified_infinite"  # eigenvalue 2 off the unit circle
+    # eigenvalues (3 +- 4i)/5 lie on the unit circle but are not roots of unity
+    assert matrix_order(ROTATION) == MatrixOrder(
+        "certified_infinite", reason="characteristic polynomial is not integral"
+    )
+
+
+def test_matrix_order_forms_no_power_beyond_the_memoised_ones(monkeypatch):
+    products = []
+    matmul = RationalMatrix.__matmul__
+
+    def counting(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counting)
+    for m in (ROTATION, RationalMatrix([[1, 1], [0, 1]]),
+              RationalMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])):
+        products.clear()
+        matrix_order(RationalMatrix(m.entries))
+        assert len(products) <= m.nrows - 1
+
+
+def test_alternating_search_decides_a_rational_rotation():
+    mu2 = RationalMatrix([[1, 1], [0, -1]])
+    r = alternating_shift_search(mu2 @ ROTATION, mu2)
+    assert r.status == "certified_never"
+    assert "infinite order" in r.reason
+
+
+def _reference_matrix_order(m: RationalMatrix, cap: int = 10_000) -> tuple:
+    """The order routine as it stood, as (kind, order): for integral input the
+    Kronecker test and a search over the divisors of the lcm of the cyclotomic
+    indices; otherwise two 2x2 trace rules, then products up to ``cap``."""
+    n = m.nrows
+    eye = RationalMatrix.identity(n)
+    if m == eye:
+        return "finite", 1
+    p = char_poly(m)
+    if m.is_integral:
+        ok, indices = is_cyclotomic_product(p)
+        if not ok:
+            return "certified_infinite", None
+        bound = lcm(*indices)
+        for k in range(1, bound + 1):
+            if bound % k == 0 and _power(m, k) == eye:
+                return "finite", k
+        return "certified_infinite", None
+    if n == 2 and m.det() == 1:
+        t = m.trace()
+        if abs(t) > 2 or (abs(t) == 2 and m != eye and m != -eye):
+            return "certified_infinite", None
+    power = m
+    for k in range(1, cap + 1):
+        if power == eye:
+            return "finite", k
+        power = power @ m
+    return "unknown", None
+
+
+def _elementary(n: int, i: int, j: int, c: int) -> RationalMatrix:
+    return RationalMatrix([[int(r == s) + (c if (r, s) == (i, j) else 0)
+                            for s in range(n)] for r in range(n)])
+
+
+def _unimodular(rng: random.Random, n: int) -> RationalMatrix:
+    u = RationalMatrix.identity(n)
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(n), 2)
+        u = u @ _elementary(n, i, j, rng.choice([-2, -1, 1, 2]))
+    return u
+
+
+def _signed_permutation(rng: random.Random, n: int) -> RationalMatrix:
+    perm = rng.sample(range(n), n)
+    return RationalMatrix([[rng.choice([-1, 1]) if s == perm[r] else 0
+                            for s in range(n)] for r in range(n)])
+
+
+def _companion(p: Polynomial) -> RationalMatrix:
+    n = p.degree
+    return RationalMatrix([[int(r == s + 1) if s < n - 1 else -p.coeffs[r]
+                            for s in range(n)] for r in range(n)])
+
+
+def _cyclotomic_product(rng: random.Random, n: int) -> Polynomial:
+    """A product of cyclotomics of degree n, repeated factors allowed."""
+    small = [d for d in range(1, 13) if cyclotomic(d).degree <= n]
+    p = Polynomial([1])
+    while p.degree < n:
+        phi = cyclotomic(rng.choice(small))
+        if p.degree + phi.degree <= n:
+            p = p * phi
+    return p
+
+
+def _integral_draws(seed: int, n: int, count: int) -> list[RationalMatrix]:
+    """Seeded integral matrices with det +-1: unimodular products (mostly of
+    infinite order), conjugates of signed permutations (finite), of a Jordan
+    block times a signed permutation (not semisimple) and of companion
+    matrices of cyclotomic products (finite or not semisimple)."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        u = _unimodular(rng, n)
+        core = [
+            None,
+            _signed_permutation(rng, n),
+            _elementary(n, 0, 1, 1) @ _signed_permutation(rng, n),
+            _companion(_cyclotomic_product(rng, n)),
+        ][k % 4]
+        out.append(u if core is None else u @ core @ u.inverse())
+    return out
+
+
+UNIMODULAR_2X2 = [
+    m for m in (RationalMatrix([[a, b], [c, d]])
+                for a, b, c, d in itertools.product(range(-3, 4), repeat=4))
+    if m.det() in (1, -1)
+]
+
+INTEGRAL_DRAWS = (
+    UNIMODULAR_2X2
+    + _integral_draws(3, 3, 60)
+    + _integral_draws(4, 4, 40)
+    + [RationalMatrix([[1, 1], [0, -1]]) @ RationalMatrix([[-1, 0], [m, 1]])
+       for m in range(1, 51)]
+)
+
+
+def test_matrix_order_matches_reference_on_integral_matrices():
+    kinds = set()
+    for m in INTEGRAL_DRAWS:
+        r = matrix_order(m)
+        assert (r.kind, r.order) == _reference_matrix_order(m), m
+        kinds.add((r.kind, r.reason))
+    # every verdict occurs among the draws
+    assert {reason for _, reason in kinds} == {
+        "",
+        "characteristic polynomial has a root off the unit circle",
+        "eigenvalues are roots of unity but the matrix is not semisimple",
+    }
+
+
+def _rational_invertible(rng: random.Random, n: int) -> RationalMatrix:
+    while True:
+        s = RationalMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                             for _ in range(n)] for _ in range(n)])
+        if s.det() != 0:
+            return s
+
+
+def _rational_det_one(rng: random.Random, n: int) -> RationalMatrix:
+    """A seeded rational matrix with det 1: the first row over the det."""
+    s = _rational_invertible(rng, n)
+    d = s.det()
+    return RationalMatrix([[x / d for x in s.entries[0]]] + list(s.entries[1:]))
+
+
+def test_matrix_order_exact_on_rational_matrices():
+    """S M S^-1 has the order of M.  Every finite order is confirmed by
+    products; where the old power loop gave up, the verdict is infinite."""
+    rng = random.Random(11)
+    gave_up = 0
+    for n, count in ((2, 60), (3, 60), (4, 20)):
+        cases = [
+            (s @ m @ s.inverse(), matrix_order(m))
+            for m, s in (
+                (m, _rational_invertible(rng, n))
+                for m in rng.sample([x for x in INTEGRAL_DRAWS if x.nrows == n], count)
+            )
+        ]
+        cases += [(_rational_det_one(rng, n), None) for _ in range(10)]
+        for m, expected in cases:
+            r = matrix_order(m)
+            if expected is not None:
+                assert r == expected
+            if r.kind == "finite":
+                eye = RationalMatrix.identity(n)
+                assert _power(m, r.order) == eye
+                assert all(_power(m, j) != eye for j in range(1, r.order))
+            ref = _reference_matrix_order(m, cap=200)
+            if ref[0] == "unknown":
+                gave_up += 1
+                assert r.kind == "certified_infinite"
+            else:
+                assert (r.kind, r.order) == ref
+    assert gave_up > 0
 
 
 def test_coxeter_matrix_four_vertex_instance():

@@ -81,9 +81,9 @@ def test_identity_zero():
 
 def test_power():
     m = RationalMatrix([[1, 1], [0, 1]])
-    assert m.power(0) == RationalMatrix.identity(2)
-    assert m.power(5) == RationalMatrix([[1, 5], [0, 1]])
-    assert m.power(-2) == RationalMatrix([[1, -2], [0, 1]])
+    assert m @ m @ m @ m @ m == RationalMatrix([[1, 5], [0, 1]])
+    assert m.inverse() @ m.inverse() == RationalMatrix([[1, -2], [0, 1]])
+    assert m.powers() == (RationalMatrix.identity(2), m, RationalMatrix([[1, 2], [0, 1]]))
 
 
 def test_det_and_inverse():

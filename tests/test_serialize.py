@@ -10,7 +10,6 @@ from tiltkit.serialize import (
     frontier_to_dot,
     matrix_from_json,
     matrix_to_json,
-    poly_from_json,
     poly_to_json,
     presentation_from_json,
     presentation_to_json,
@@ -49,11 +48,8 @@ def test_matrix_malformed():
             matrix_from_json(bad)
 
 
-def test_poly_roundtrip():
-    p = Polynomial([1, "1/2", -3])
-    assert poly_from_json(poly_to_json(p)) == p
-    with pytest.raises(MalformedInputError):
-        poly_from_json({"not": "a list"})
+def test_poly_to_json():
+    assert poly_to_json(Polynomial([1, "1/2", -3])) == ["1", "1/2", "-3"]
 
 
 def _pres():
