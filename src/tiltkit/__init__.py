@@ -52,6 +52,7 @@ from .linalg import (
     coxeter_matrix,
     definiteness,
     euler_form,
+    is_diagonalizable,
     matrix_order,
     min_poly,
     trivial_extension_cartan,

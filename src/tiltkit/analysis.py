@@ -20,7 +20,7 @@ from .linalg import (
     char_poly,
     coxeter_matrix,
     definiteness,
-    min_poly,
+    is_diagonalizable,
     trivial_extension_cartan,
 )
 from .matrix import RationalMatrix
@@ -122,7 +122,7 @@ def analyze(
     p = char_poly(phi)
     ctype, indices = classify_coxeter_poly(p)
     has_one = p(1) == 0
-    _, diagonalizable = min_poly(phi)
+    diagonalizable = is_diagonalizable(phi, p)
 
     euler_positive = None
     if regular:

@@ -12,7 +12,6 @@ unreachability certificate for one-vertex and two-vertex bipartite graphs.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -397,13 +396,32 @@ def enumerate_connected_multigraphs(n_edges: int):
     isomorphism class appears (with labelled repetitions).
     """
     for v in range(1, n_edges + 2):
-        pairs = [(i, j) for i in range(1, v + 1) for j in range(i, v + 1)]
-        if n_edges < v - 1:
-            continue
-        for combo in itertools.combinations_with_replacement(pairs, n_edges):
-            used = {x for pair in combo for x in pair}
-            if len(used) == v and _traverse(range(1, v + 1), combo)[0] == 1:
+        for combo in _covering_combinations(v, n_edges):
+            if _traverse(range(1, v + 1), combo)[0] == 1:
                 yield from_multigraph(v, list(combo))
+
+
+def _covering_combinations(v: int, n_edges: int):
+    """The n_edges-combinations with repetition of the pairs i <= j of 1..v
+    that touch every vertex, in ``itertools.combinations_with_replacement``
+    order.  Slots take non-decreasing pairs, so a branch dies once its next
+    pair (i, .) passes an untouched vertex below i, or when more vertices
+    are untouched than two per slot left."""
+    pairs = [(i, j) for i in range(1, v + 1) for j in range(i, v + 1)]
+
+    def walk(start: int, combo: tuple, untouched: frozenset):
+        if len(combo) == n_edges:
+            if not untouched:
+                yield combo
+            return
+        for k in range(start, len(pairs)):
+            if untouched and min(untouched) < pairs[k][0]:
+                return
+            rest = untouched.difference(pairs[k])
+            if len(rest) <= 2 * (n_edges - len(combo) - 1):
+                yield from walk(k, combo + (pairs[k],), rest)
+
+    return walk(0, (), frozenset(range(1, v + 1)))
 
 
 def enumerate_ribbon_structures(n_edges: int):

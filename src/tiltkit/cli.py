@@ -207,11 +207,9 @@ def _cmd_selfinjective(args) -> int:
 
 def _cmd_brauer(args) -> int:
     graph = ribbon_from_json(_load_json(args.graph))
-    if args.action in ("mutate", "kauer"):
-        if not args.edge:
-            raise MalformedInputError(f"brauer {args.action} needs --edge ID")
-        if args.edge not in {e.id for e in graph.edges}:
-            raise MalformedInputError(f"unknown edge {args.edge!r}")
+    if args.action == "dot":
+        sys.stdout.write(ribbon_to_dot(graph))
+        return 0
     if args.action == "decide":
         out = decide(graph).to_dict()
         out["criteria"] = {
@@ -219,21 +217,16 @@ def _cmd_brauer(args) -> int:
             "k0_has_free_part": "edge/vertex count test on the stable "
             "Grothendieck group",
         }
-        _emit(out)
-        return 0
-    if args.action == "mutate":
-        _emit(matrix_to_json(mutation_g_matrix(graph, args.edge)))
-        return 0
-    if args.action == "kauer":
-        _emit(ribbon_to_json(kauer_move(graph, args.edge)))
-        return 0
-    if args.action == "certify":
-        _emit(disconnectedness_certificate(graph).to_dict())
-        return 0
-    if args.action == "dot":
-        sys.stdout.write(ribbon_to_dot(graph))
-        return 0
-    raise MalformedInputError(f"unknown brauer action {args.action!r}")
+    elif args.action == "certify":
+        out = disconnectedness_certificate(graph).to_dict()
+    elif args.edge not in {e.id for e in graph.edges}:
+        raise MalformedInputError(f"unknown edge {args.edge!r}")
+    elif args.action == "mutate":
+        out = matrix_to_json(mutation_g_matrix(graph, args.edge))
+    else:
+        out = ribbon_to_json(kauer_move(graph, args.edge))
+    _emit(out)
+    return 0
 
 
 def _load_generators(path: str) -> dict[str, RationalMatrix]:
@@ -246,16 +239,7 @@ def _load_generators(path: str) -> dict[str, RationalMatrix]:
 
 
 def _cmd_explore(args) -> int:
-    if args.action == "reach-shift":
-        if not args.gens:
-            raise MalformedInputError("explore reach-shift needs --gens FILE")
-        gens = _load_generators(args.gens)
-        depth = args.depth if args.depth is not None else _default_depth()
-        _emit(reach_shift(gens, depth).to_dict())
-        return 0
     if args.action == "alternating":
-        if args.m is None:
-            raise MalformedInputError("explore alternating needs --m")
         if args.m < 1:
             raise DomainError("--m must be >= 1")
         mu1 = RationalMatrix([[-1, 0], [args.m, 1]])
@@ -267,19 +251,16 @@ def _cmd_explore(args) -> int:
         _emit(out)
         return 0
     if args.action == "delta":
-        if args.m is None or args.l is None:
-            raise MalformedInputError("explore delta needs --m and --l")
         seq = delta_sequence(args.m, args.l, args.t)
         _emit(seq.to_dict())
         return 0
-    if args.action == "frontier":
-        if not args.gens:
-            raise MalformedInputError("explore frontier needs --gens FILE")
-        gens = _load_generators(args.gens)
-        depth = args.depth if args.depth is not None else _default_depth()
+    gens = _load_generators(args.gens)
+    depth = args.depth if args.depth is not None else _default_depth()
+    if args.action == "reach-shift":
+        _emit(reach_shift(gens, depth).to_dict())
+    else:
         sys.stdout.write(frontier_to_dot(generate(gens, depth)))
-        return 0
-    raise MalformedInputError(f"unknown explore action {args.action!r}")
+    return 0
 
 
 def _cmd_lattice(args) -> int:
@@ -356,22 +337,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", required=True, help='JSON cycles, e.g. "[[1,2],[3]]"')
     p.set_defaults(func=_cmd_selfinjective)
 
+    # one parser per action, so an option of another action exits 2
     p = sub.add_parser("brauer", help="Brauer graph operations")
-    p.add_argument("action", choices=["decide", "mutate", "kauer", "certify", "dot"])
-    p.add_argument("--graph", required=True, help="ribbon graph JSON, or -")
-    p.add_argument("--edge", help="edge id for mutate/kauer")
     p.set_defaults(func=_cmd_brauer)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("decide", "mutate", "kauer", "certify", "dot"):
+        a = actions.add_parser(action)
+        a.add_argument("--graph", required=True, help="ribbon graph JSON, or -")
+        if action in ("mutate", "kauer"):
+            a.add_argument("--edge", required=True, help="edge id")
 
     p = sub.add_parser("explore", help="g-matrix group exploration")
-    p.add_argument(
-        "action", choices=["reach-shift", "alternating", "delta", "frontier"]
-    )
-    p.add_argument("--gens", help="generators JSON: {name: matrix, ...}")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--t", type=int, default=20, help="number of delta terms")
     p.set_defaults(func=_cmd_explore)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("reach-shift", "frontier"):
+        a = actions.add_parser(action)
+        a.add_argument("--gens", required=True, help="generators JSON: {name: matrix, ...}")
+        a.add_argument("--depth", type=int, default=None)
+    a = actions.add_parser("alternating")
+    a.add_argument("--m", type=int, required=True)
+    a = actions.add_parser("delta")
+    a.add_argument("--m", type=int, required=True)
+    a.add_argument("--l", type=int, required=True)
+    a.add_argument("--t", type=int, default=20, help="number of delta terms")
 
     p = sub.add_parser("lattice", help="integer solutions of v^T C v = z")
     p.add_argument("--cartan", help="matrix JSON file, or - for stdin")

@@ -2,9 +2,9 @@
 the exact order of every rational matrix with det +-1, Coxeter matrices and
 the Euler form.
 
-Both polynomials read the memoised ``RationalMatrix.powers`` (Newton's
-identities on their traces; one Krylov row reduction), so a matrix asked
-for both pays its n - 1 products once, and the order is read off the two.
+The characteristic polynomial reads the memoised ``RationalMatrix.powers``
+(Newton's identities on their traces), and diagonalizability its radical
+evaluated on the same powers, so a matrix pays its n - 1 products once.
 No float ever decides a verdict.
 """
 
@@ -35,14 +35,14 @@ def char_poly(m: RationalMatrix) -> Polynomial:
 
 
 def min_poly(m: RationalMatrix) -> tuple[Polynomial, bool]:
-    """Monic minimal polynomial and a diagonalizability flag.
+    """Monic minimal polynomial and a diagonalizability flag (squarefreeness
+    of the minimal polynomial); the reference for ``is_diagonalizable``.
 
     One row reduction of the Krylov matrix [vec E, vec M, ..., vec M^n] of the
     memoised powers: the first column without a pivot, k, is the first power
     that depends on the lower ones, and the reduced column k, over the common
     pivot, holds the coefficients of that dependence (later pivots sit in rows
-    that are zero in column k, so they only rescale it with the pivot).  The
-    flag is exactly squarefreeness of the minimal polynomial.
+    that are zero in column k, so they only rescale it with the pivot).
     """
     n = m.nrows
     krylov = list(zip(*(
@@ -53,6 +53,34 @@ def min_poly(m: RationalMatrix) -> tuple[Polynomial, bool]:
     k = next(j for j in range(n + 1) if j not in pivots)
     p = Polynomial([Fraction(-krylov[i][k], pivot) for i in range(k)] + [1])
     return p, p.is_squarefree
+
+
+def is_diagonalizable(m: RationalMatrix, chi: Polynomial) -> bool:
+    """Whether m is diagonalizable over C, given its characteristic polynomial.
+
+    The minimal polynomial has the roots of chi, so it is squarefree exactly
+    when it divides the radical s = chi / gcd(chi, chi'), that is when
+    s(M) = 0 (a squarefree chi is s).  The sum runs on ints over the memoised
+    powers: for s_k = a_k / d_k, M^k = P_k / L_k and D = lcm(d_k L_k),
+    D s(M) = sum of (a_k D / (d_k L_k)) P_k.
+    """
+    g = chi.gcd(chi.derivative())
+    if g.degree == 0:
+        return True
+    terms = [(c, *_integer_rows(p))
+             for c, p in zip(chi.divmod(g)[0].coeffs, m.powers()) if c]
+    d = lcm(*(c.denominator * scale for c, _, scale in terms))
+    weights = [c.numerator * (d // (c.denominator * scale)) for c, _, scale in terms]
+    flat = [[x for row in rows for x in row] for _, rows, _ in terms]
+    return not any(sum(w * x for w, x in zip(weights, column)) for column in zip(*flat))
+
+
+def _integer_rows(m: RationalMatrix) -> tuple[list[list[int]], int]:
+    """The rows of m times the lcm of its denominators, as Python ints, and
+    that lcm."""
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row]
+            for row in m.entries], scale
 
 
 def ldl(s: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]], bool]:
@@ -77,8 +105,7 @@ def ldl(s: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]], bool]:
     if not s.is_symmetric:
         raise ValueError("LDL^T requires a symmetric matrix")
     n = s.nrows
-    scale = lcm(*(x.denominator for row in s.entries for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in s.entries]
+    a, scale = _integer_rows(s)
     # integer numerators of lower over piv[j], the pivot taken at index j;
     # d[j] = piv[j] / den[j] (den[j] = 0 where no pivot was taken)
     lower = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -142,8 +169,9 @@ def matrix_order(m: RationalMatrix) -> MatrixOrder:
     rational algebraic-integer, that is integral, coefficients and is a
     product of cyclotomics, and the minimal polynomial is squarefree.
     Conversely these make M diagonalizable with eigenvalues of exact orders
-    the cyclotomic indices, so its order is their lcm.  Both polynomials
-    read the memoised powers; no power of M beyond M^n is formed.
+    the cyclotomic indices, so its order is their lcm.  The characteristic
+    polynomial and its radical read the memoised powers; no power of M
+    beyond M^n is formed.
     """
     if not m.is_square:
         raise ValueError("order of a non-square matrix")
@@ -163,7 +191,7 @@ def matrix_order(m: RationalMatrix) -> MatrixOrder:
             "certified_infinite",
             reason="characteristic polynomial has a root off the unit circle",
         )
-    if not min_poly(m)[1]:
+    if not is_diagonalizable(m, p):
         return MatrixOrder(
             "certified_infinite",
             reason="eigenvalues are roots of unity but the matrix is not semisimple",
@@ -172,7 +200,8 @@ def matrix_order(m: RationalMatrix) -> MatrixOrder:
 
 
 def coxeter_matrix(c: RationalMatrix) -> RationalMatrix:
-    """Coxeter matrix -C^T C^{-1} of an invertible Cartan matrix."""
+    """Coxeter matrix -C^T C^{-1} of an invertible Cartan matrix, as the int
+    product -(A^T B) / (a b) for C = A / a and C^{-1} = B / b."""
     if not c.is_square:
         raise ValueError("Coxeter matrix of a non-square matrix")
     try:
@@ -181,7 +210,9 @@ def coxeter_matrix(c: RationalMatrix) -> RationalMatrix:
         raise SingularCartanError(
             "Cartan matrix is singular (det = 0); no Coxeter matrix"
         ) from None
-    return -(c.T @ inv)
+    (a, sa), (b, sb) = _integer_rows(c), _integer_rows(inv)
+    return RationalMatrix([[Fraction(sum(x * y for x, y in zip(col_a, col_b)), -sa * sb)
+                            for col_b in zip(*b)] for col_a in zip(*a)])
 
 
 class SingularCartanError(ValueError):

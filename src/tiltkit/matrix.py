@@ -55,11 +55,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int | None = None) -> "RationalMatrix":
-        ncols = nrows if ncols is None else ncols
-        return cls([[0] * ncols for _ in range(nrows)])
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i][j]
@@ -122,10 +117,6 @@ class RationalMatrix:
 
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix([[-x for x in row] for row in self.entries])
-
-    def scale(self, c) -> "RationalMatrix":
-        c = _frac(c)
-        return RationalMatrix([[c * x for x in row] for row in self.entries])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:

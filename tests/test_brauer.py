@@ -178,6 +178,33 @@ def test_criteria_agree_small():
             decide(g)  # also exercises the internal assertion
 
 
+def _reference_connected_multigraphs(n_edges: int):
+    """The enumeration as it stood: every combination with repetition of
+    vertex pairs, filtered for touching every vertex and for connectivity."""
+    for v in range(1, n_edges + 2):
+        pairs = [(i, j) for i in range(1, v + 1) for j in range(i, v + 1)]
+        for combo in itertools.combinations_with_replacement(pairs, n_edges):
+            used = {x for pair in combo for x in pair}
+            if len(used) == v and brauer._traverse(range(1, v + 1), combo)[0] == 1:
+                yield from_multigraph(v, list(combo))
+
+
+@pytest.mark.parametrize("n_edges", [1, 2, 3, 4, 5])
+def test_connected_multigraphs_match_the_full_walk(n_edges):
+    assert list(enumerate_connected_multigraphs(n_edges)) == list(
+        _reference_connected_multigraphs(n_edges)
+    )
+
+
+def test_covering_walk_yields_only_covering_combinations():
+    for v in range(1, 6):
+        for n_edges in range(5):
+            pairs = [(i, j) for i in range(1, v + 1) for j in range(i, v + 1)]
+            full = [c for c in itertools.combinations_with_replacement(pairs, n_edges)
+                    if {x for pair in c for x in pair} == set(range(1, v + 1))]
+            assert list(brauer._covering_combinations(v, n_edges)) == full
+
+
 def test_mutation_digon():
     assert mutation_g_matrix(digon(), "1") == RationalMatrix([[-1, 0], [2, 1]])
     assert mutation_g_matrix(digon(), "2") == RationalMatrix([[1, 2], [0, -1]])

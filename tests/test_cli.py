@@ -55,6 +55,45 @@ def test_alternating_has_no_bound_option(capsys):
     _run(capsys, ["explore", "alternating", "--m", "4", "--bound", "5"], expect_code=2)
 
 
+GENS_FILE = "<gens>"
+
+# (valid argv, an option of another action)
+FOREIGN_OPTIONS = {
+    "brauer-decide": (["brauer", "decide", "--graph", str(GOLDEN / "digon_input.json")],
+                      ["--edge", "1"]),
+    "brauer-mutate": (["brauer", "mutate", "--graph", str(GOLDEN / "digon_input.json"),
+                       "--edge", "1"], ["--depth", "3"]),
+    "brauer-kauer": (["brauer", "kauer", "--graph", str(GOLDEN / "digon_input.json"),
+                      "--edge", "2"], ["--m", "4"]),
+    "brauer-certify": (["brauer", "certify", "--graph", str(GOLDEN / "digon_input.json")],
+                       ["--edge", "1"]),
+    "brauer-dot": (["brauer", "dot", "--graph", str(GOLDEN / "digon_input.json")],
+                   ["--gens", GENS_FILE]),
+    "explore-reach-shift": (["explore", "reach-shift", "--gens", GENS_FILE, "--depth", "2"],
+                            ["--m", "4"]),
+    "explore-alternating": (["explore", "alternating", "--m", "4"],
+                            ["--depth", "3", "--t", "7", "--gens", "nothing.json"]),
+    "explore-delta": (["explore", "delta", "--m", "3", "--l", "2", "--t", "5"],
+                      ["--depth", "9"]),
+    "explore-frontier": (["explore", "frontier", "--gens", GENS_FILE, "--depth", "2"],
+                         ["--graph", str(GOLDEN / "digon_input.json")]),
+}
+
+
+@pytest.mark.parametrize("action", sorted(FOREIGN_OPTIONS))
+def test_option_of_another_action_exits_2(capsys, tmp_path, action):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({
+        "T": {"entries": [["-1", "0"], ["1", "1"]]},
+        "U": {"entries": [["1", "1"], ["0", "-1"]]},
+    }))
+    argv, foreign = (
+        [str(gens) if x == GENS_FILE else x for x in args] for args in FOREIGN_OPTIONS[action]
+    )
+    _run(capsys, argv)
+    assert _run(capsys, argv + foreign, expect_code=2) == ""
+
+
 def test_lattice_golden(capsys):
     out = _run(capsys, ["lattice", "--family", "c3c3_c2", "--z", "5"])
     assert out == (GOLDEN / "lattice_c3c3_z5.json").read_text()

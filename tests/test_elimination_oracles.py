@@ -28,6 +28,11 @@ INTEGER = st.integers(min_value=-6, max_value=6).map(Fraction)
 RATIONAL = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
+def _scalar(n: int, c=0) -> RationalMatrix:
+    """c times the n x n identity (the zero matrix by default)."""
+    return RationalMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
 def _product(a, b):
     return [
         [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
@@ -49,7 +54,7 @@ def square_matrices(draw, max_n=6):
     if rank == n:
         return RationalMatrix(block(n, n))
     if rank == 0:
-        return RationalMatrix.zero(n)
+        return _scalar(n)
     return RationalMatrix(_product(block(n, rank), block(rank, n)))
 
 
@@ -125,10 +130,9 @@ def test_solve_matches_sympy_rank(mb):
 
 def _evaluate_at_matrix(p, m):
     """p(M) by Horner's rule."""
-    acc = RationalMatrix.zero(m.nrows)
-    eye = RationalMatrix.identity(m.nrows)
+    acc = _scalar(m.nrows)
     for c in reversed(p.coeffs):
-        acc = acc @ m + eye.scale(c)
+        acc = acc @ m + _scalar(m.nrows, c)
     return acc
 
 
@@ -137,7 +141,7 @@ def _evaluate_at_matrix(p, m):
 def test_min_poly_matches_sympy_krylov_rank(m):
     p, diagonalizable = min_poly(m)
     assert p.is_monic
-    assert _evaluate_at_matrix(p, m) == RationalMatrix.zero(m.nrows)
+    assert _evaluate_at_matrix(p, m) == _scalar(m.nrows)
     assert p.divides(char_poly(m))
     assert diagonalizable == p.is_squarefree
     n = m.nrows
@@ -339,7 +343,7 @@ def symmetric_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(symmetric_matrices())
-@example(RationalMatrix.zero(3))
+@example(_scalar(3))
 @example(RationalMatrix([[Fraction(3, 999_983)]]))
 @example(RationalMatrix([[0]]))
 @example(RationalMatrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]]))

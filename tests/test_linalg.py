@@ -5,7 +5,8 @@ from itertools import combinations
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+import tiltkit.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltkit.linalg import (
@@ -19,11 +20,14 @@ from tiltkit.linalg import (
     coxeter_matrix,
     definiteness,
     euler_form,
+    is_diagonalizable,
     MatrixOrder,
     matrix_order,
     min_poly,
     trivial_extension_cartan,
 )
+from tiltkit.analysis import analyze
+from tiltkit.families import family, list_families
 from tiltkit.matrix import RationalMatrix
 from tiltkit.explore import alternating_shift_search
 from tiltkit.poly import Polynomial, cyclotomic, is_cyclotomic_product
@@ -37,12 +41,16 @@ def square(n):
     ).map(RationalMatrix)
 
 
+def _scalar(n: int, c=0) -> RationalMatrix:
+    """c times the n x n identity (the zero matrix by default)."""
+    return RationalMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
 def _evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
     """p(M) by Horner's rule."""
-    acc = RationalMatrix.zero(m.nrows)
-    eye = RationalMatrix.identity(m.nrows)
+    acc = _scalar(m.nrows)
     for c in reversed(p.coeffs):
-        acc = acc @ m + eye.scale(c)
+        acc = acc @ m + _scalar(m.nrows, c)
     return acc
 
 
@@ -71,7 +79,7 @@ def test_char_poly_examples():
 def test_cayley_hamilton(m):
     p = char_poly(m)
     assert p.is_monic and p.degree == m.nrows
-    assert _evaluate_at_matrix(p, m) == RationalMatrix.zero(m.nrows)
+    assert _evaluate_at_matrix(p, m) == _scalar(m.nrows)
 
 
 def test_min_poly_examples():
@@ -487,3 +495,123 @@ def test_trivial_extension_cartan():
     te = trivial_extension_cartan(c)
     assert te == RationalMatrix([[2, 1], [1, 2]])
     assert te.is_symmetric
+
+
+# -- diagonalizability from the radical of chi ------------------------------------
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _square_of(entries, max_n):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n).map(RationalMatrix))
+
+
+@st.composite
+def jordan_forms(draw):
+    """A block-diagonal Jordan matrix with few distinct eigenvalues (so chi
+    has repeated roots), or its conjugate P J P^-1 by an integral or a
+    rational P."""
+    blocks = draw(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=3),
+                  st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)])),
+        min_size=1, max_size=3))
+    n = sum(size for size, _ in blocks)
+    j = [[0] * n for _ in range(n)]
+    start = 0
+    for size, value in blocks:
+        for i in range(start, start + size):
+            j[i][i] = value
+            if i + 1 < start + size:
+                j[i][i + 1] = 1
+        start += size
+    j = RationalMatrix(j)
+    entries = draw(st.sampled_from([small_ints, RATIONALS, None]))
+    if entries is None:
+        return j
+    p = RationalMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                     min_size=n, max_size=n)))
+    return j if p.det() == 0 else p @ j @ p.inverse()
+
+
+SCALARS = [_scalar(n, c) for n in (1, 2, 3, 5)
+           for c in (0, 1, -1, 2, Fraction(-2, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_square_of(small_ints, 5), _square_of(RATIONALS, 4), jordan_forms(),
+                 st.sampled_from(SCALARS)))
+@example(RationalMatrix.identity(3))
+@example(RationalMatrix([[1, 1], [0, 1]]))
+def test_is_diagonalizable_matches_min_poly(m):
+    assert is_diagonalizable(m, char_poly(m)) == min_poly(m)[1]
+
+
+def test_scalar_matrices_are_diagonalizable():
+    # chi = (x - c)^n is not squarefree for n > 1, yet (x - c)(cE) = 0
+    for m in SCALARS:
+        chi = char_poly(m)
+        assert chi.is_squarefree == (m.nrows == 1)
+        assert is_diagonalizable(m, chi)
+    jordan = RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert not is_diagonalizable(jordan, char_poly(jordan))
+
+
+def _analyze_inputs():
+    cases = [(FOUR_VERTEX_C, None), (RationalMatrix([[1, 1], [1, 1]]),
+                                     RationalMatrix([[0, -1], [-1, 0]]))]
+    cases += [(e.cartan, e.coxeter_override) for e in list_families()]
+    cases += [(family("bgs", n=n, r=r, m=m).cartan, None)
+              for n in range(3, 9) for r in (1, n // 2) for m in (0, 1, 2)]
+    return cases
+
+
+def test_spectral_verdicts_need_no_min_poly(monkeypatch):
+    cases = _analyze_inputs()
+    reports = [analyze(RationalMatrix(c.entries), coxeter_override=o) for c, o in cases]
+    for r in reports:
+        if r.coxeter is not None:
+            assert r.diagonalizable == min_poly(r.coxeter)[1]
+    assert {r.diagonalizable for r in reports} == {True, False, None}
+    orders = [matrix_order(RationalMatrix(m.entries)) for m in INTEGRAL_DRAWS + [ROTATION]]
+
+    def refuse(m):
+        raise AssertionError("min_poly called")
+
+    monkeypatch.setattr(tiltkit.linalg, "min_poly", refuse)
+    assert [analyze(RationalMatrix(c.entries), coxeter_override=o)
+            for c, o in cases] == reports
+    assert [matrix_order(RationalMatrix(m.entries))
+            for m in INTEGRAL_DRAWS + [ROTATION]] == orders
+
+
+# -- the Coxeter matrix on ints ------------------------------------------------------
+
+
+def _seeded_cartan(rng: random.Random, n: int, rational: bool, rank: int | None = None):
+    """A seeded n x n matrix with entries in 0..3 (over 1..4 when rational);
+    of rank at most ``rank`` when given, as an (n x rank)(rank x n) product."""
+    def entry():
+        return Fraction(rng.randint(0, 3), rng.randint(1, 4) if rational else 1)
+
+    if rank is not None:
+        a = RationalMatrix([[entry() for _ in range(rank)] for _ in range(n)])
+        b = RationalMatrix([[entry() for _ in range(n)] for _ in range(rank)])
+        return a @ b
+    while True:
+        c = RationalMatrix([[entry() + (i == j) for j in range(n)] for i in range(n)])
+        if c.det() != 0:
+            return c
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integral", "rational"])
+def test_coxeter_matrix_matches_the_fraction_product(rational):
+    rng = random.Random(1603 + rational)
+    for n in range(2, 13):
+        for _ in range(3):
+            c = _seeded_cartan(rng, n, rational)
+            ref = RationalMatrix(c.entries)
+            assert coxeter_matrix(c) == -(ref.T @ ref.inverse())
+            with pytest.raises(SingularCartanError):
+                coxeter_matrix(_seeded_cartan(rng, n, rational, rank=n - 1))

@@ -59,7 +59,7 @@ def test_arithmetic():
     b = RationalMatrix([[0, 1], [1, 0]])
     assert a + b == RationalMatrix([[1, 3], [4, 4]])
     assert a - b == RationalMatrix([[1, 1], [2, 4]])
-    assert -a == a.scale(-1)
+    assert -a == RationalMatrix([[-1, -2], [-3, -4]])
     assert a @ b == RationalMatrix([[2, 1], [4, 3]])
     assert a.T == RationalMatrix([[1, 3], [2, 4]])
     assert a.trace() == 5
@@ -74,9 +74,11 @@ def test_vec_mul():
 
 
 def test_identity_zero():
-    assert RationalMatrix.identity(3).trace() == 3
-    assert RationalMatrix.zero(2, 3).nrows == 2
-    assert RationalMatrix.zero(2).ncols == 2
+    eye = RationalMatrix.identity(3)
+    assert eye.trace() == 3
+    assert eye - eye == RationalMatrix([[0] * 3] * 3)
+    m = RationalMatrix([[1, 2, 3], [0, 1, 4], [5, 6, 0]])
+    assert eye @ m == m @ eye == m
 
 
 def test_power():
