@@ -22,6 +22,8 @@ from .brauer import (
     RibbonVertex,
     decide,
     disconnectedness_certificate,
+    enumerate_connected_multigraphs,
+    enumerate_ribbon_structures,
     is_isomorphic,
     kauer_move,
     mutation_g_matrix,
@@ -39,6 +41,7 @@ from .explore import (
 from .families import (
     AlgebraFamilyEntry,
     FAMILY_NAMES,
+    FAMILY_PARAMETERS,
     UnknownFamilyError,
     UnknownParameterError,
     family,
@@ -71,6 +74,7 @@ from .quiver import (
     count_oriented_3cycles_with_full_relations,
     validate_gentle,
 )
+from .serialize import presentation_from_json
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -45,34 +45,6 @@ class AnalysisReport:
     coxeter: RationalMatrix | None
     coxeter_char_poly: Polynomial | None
 
-    def to_dict(self) -> dict:
-        return {
-            "regular": self.regular,
-            "symmetrized_definiteness": self.symmetrized_definiteness,
-            "euler_form_positive": self.euler_form_positive,
-            "cyclotomic_type": self.cyclotomic_type,
-            "cyclotomic_indices": (
-                list(self.cyclotomic_indices)
-                if self.cyclotomic_indices is not None
-                else None
-            ),
-            "has_eigenvalue_one": self.has_eigenvalue_one,
-            "diagonalizable": self.diagonalizable,
-            "coxeter_trace": (
-                str(self.coxeter_trace) if self.coxeter_trace is not None else None
-            ),
-            "coxeter": (
-                [[str(x) for x in row] for row in self.coxeter.entries]
-                if self.coxeter is not None
-                else None
-            ),
-            "coxeter_char_poly": (
-                [str(c) for c in self.coxeter_char_poly.coeffs]
-                if self.coxeter_char_poly is not None
-                else None
-            ),
-        }
-
 
 def classify_coxeter_poly(p: Polynomial) -> tuple[str, tuple[int, ...] | None]:
     if p.is_integral:

@@ -13,7 +13,7 @@ unreachability certificate for one-vertex and two-vertex bipartite graphs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .matrix import RationalMatrix
 
@@ -154,9 +154,6 @@ class GraphVerdict:
     odd_cycle_unique: bool | None  # parity of the unique cycle when betti = 1
     tilting_discrete: bool
     k0_has_free_part: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def betti_number(g: RibbonGraph) -> int:
@@ -301,9 +298,6 @@ class Certificate:
     graph_class: str | None = None
     statement: str | None = None
     generator_column_sums_verified: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _CERTIFICATE_STATEMENT = (

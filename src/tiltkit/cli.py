@@ -3,9 +3,10 @@
 Deterministic JSON (sorted keys) or DOT on standard output.  Exit codes:
 0 success, 1 domain error (singular Cartan matrix where invertibility is
 required, leaf-edge mutation, unknown family, infinite-dimensional algebra),
-2 malformed input (also a parameter the family does not take).  ``-`` means
-standard input for any file argument; the environment variable
-``TILTKIT_DEPTH`` overrides the default search depth.
+2 malformed input (also a usage error and a parameter the family does not
+take).  Exits 1 and 2 print one JSON object ``{"error": {"kind", "message"}}``
+on standard output.  ``-`` means standard input for any file argument.  The
+family parameter flags are those of the family registry.
 """
 
 from __future__ import annotations
@@ -13,32 +14,25 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .analysis import NakayamaPermutation, analyze, selfinjective_coxeter_poly
-from .brauer import (
-    LeafEdgeError,
-    decide,
-    disconnectedness_certificate,
-    kauer_move,
-    mutation_g_matrix,
-)
+from .brauer import decide, disconnectedness_certificate, kauer_move, mutation_g_matrix
 from .explore import (
     alternating_shift_search,
     delta_sequence,
     generate,
     reach_shift,
 )
-from .families import UnknownFamilyError, UnknownParameterError, family, list_families
+from .families import FAMILY_PARAMETERS, UnknownParameterError, family, list_families
 from .lattice import bounded_box, solutions
-from .linalg import SingularCartanError, trivial_extension_cartan
-from .matrix import RationalMatrix, SingularMatrixError
-from .quiver import InfiniteDimensionalError
+from .linalg import trivial_extension_cartan
+from .matrix import RationalMatrix
 from .serialize import (
     MalformedInputError,
     _integer,
+    family_to_json,
     frontier_to_dot,
     matrix_from_json,
     matrix_to_json,
@@ -48,6 +42,7 @@ from .serialize import (
     ribbon_from_json,
     ribbon_to_dot,
     ribbon_to_json,
+    to_json,
 )
 
 DEFAULT_DEPTH = 12
@@ -79,23 +74,8 @@ def _load_json(path: str):
         raise MalformedInputError(f"invalid JSON in {path!r}: {exc}") from None
 
 
-def _default_depth() -> int:
-    env = os.environ.get("TILTKIT_DEPTH")
-    if env is None:
-        return DEFAULT_DEPTH
-    try:
-        return int(env)
-    except ValueError:
-        raise MalformedInputError(
-            f"TILTKIT_DEPTH must be an integer, got {env!r}"
-        ) from None
-
-
-_FAMILY_PARAMS = ("m", "l", "n", "r")
-
-
 def _family_params(args) -> dict:
-    values = {key: getattr(args, key, None) for key in _FAMILY_PARAMS}
+    values = {key: getattr(args, key, None) for key in FAMILY_PARAMETERS}
     return {key: value for key, value in values.items() if value is not None}
 
 
@@ -119,7 +99,7 @@ def _cmd_analyze(args) -> int:
     if args.coxeter:
         override = matrix_from_json(_load_json(args.coxeter))
     report = analyze(cartan, coxeter_override=override)
-    out = report.to_dict()
+    out = to_json(report)
     out["cartan"] = matrix_to_json(cartan)
     out["criteria"] = {
         "symmetrized_definiteness": "sign class of the symmetrized Cartan form",
@@ -131,18 +111,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    if args.list and args.name:
+        raise MalformedInputError("argument --list: not allowed with argument --name")
     if args.list:
-        _emit(
-            [
-                {
-                    "name": e.name,
-                    "params": e.params,
-                    "cartan": matrix_to_json(e.cartan),
-                    "note": e.note,
-                }
-                for e in list_families()
-            ]
-        )
+        _emit([family_to_json(e) for e in list_families()])
         return 0
     if not args.name:
         raise MalformedInputError("need --name NAME or --list")
@@ -155,17 +127,12 @@ def _cmd_family(args) -> int:
         sys.stdout.write(quiver_to_dot(entry.presentation))
         return 0
     if args.full:
-        out = {
-            "name": entry.name,
-            "params": entry.params,
-            "cartan": matrix_to_json(entry.cartan),
-            "note": entry.note,
-            "presentation": (
-                presentation_to_json(entry.presentation)
-                if entry.presentation is not None
-                else None
-            ),
-        }
+        out = family_to_json(entry)
+        out["presentation"] = (
+            presentation_to_json(entry.presentation)
+            if entry.presentation is not None
+            else None
+        )
         _emit(out)
         return 0
     # bare matrix JSON so the output pipes straight into `analyze --cartan -`
@@ -211,14 +178,14 @@ def _cmd_brauer(args) -> int:
         sys.stdout.write(ribbon_to_dot(graph))
         return 0
     if args.action == "decide":
-        out = decide(graph).to_dict()
+        out = to_json(decide(graph))
         out["criteria"] = {
             "tilting_discrete": "no cycle, or a unique cycle of odd length",
             "k0_has_free_part": "edge/vertex count test on the stable "
             "Grothendieck group",
         }
     elif args.action == "certify":
-        out = disconnectedness_certificate(graph).to_dict()
+        out = to_json(disconnectedness_certificate(graph))
     elif args.edge not in {e.id for e in graph.edges}:
         raise MalformedInputError(f"unknown edge {args.edge!r}")
     elif args.action == "mutate":
@@ -245,21 +212,20 @@ def _cmd_explore(args) -> int:
         mu1 = RationalMatrix([[-1, 0], [args.m, 1]])
         mu2 = RationalMatrix([[1, 1], [0, -1]])
         result = alternating_shift_search(mu1, mu2)
-        out = result.to_dict()
+        out = to_json(result)
         out["mu1"] = matrix_to_json(mu1)
         out["mu2"] = matrix_to_json(mu2)
         _emit(out)
         return 0
     if args.action == "delta":
         seq = delta_sequence(args.m, args.l, args.t)
-        _emit(seq.to_dict())
+        _emit(to_json(seq))
         return 0
     gens = _load_generators(args.gens)
-    depth = args.depth if args.depth is not None else _default_depth()
     if args.action == "reach-shift":
-        _emit(reach_shift(gens, depth).to_dict())
+        _emit(to_json(reach_shift(gens, args.depth)))
     else:
-        sys.stdout.write(frontier_to_dot(generate(gens, depth)))
+        sys.stdout.write(frontier_to_dot(generate(gens, args.depth)))
     return 0
 
 
@@ -294,17 +260,28 @@ def _cmd_lattice(args) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise MalformedInputError, so
+    they exit 2 with the JSON error object like any other malformed input."""
+
+    def error(self, message):
+        raise MalformedInputError(message)
+
+
+def _add_parameter_flags(p: argparse.ArgumentParser) -> None:
+    for key in FAMILY_PARAMETERS:
+        p.add_argument(f"--{key}", type=int, default=None)
+
+
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="registry family name instead of --cartan")
-    for key in _FAMILY_PARAMS:
-        p.add_argument(f"--{key}", type=int, default=None)
+    _add_parameter_flags(p)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing never changes it,
-    and ``TILTKIT_DEPTH`` is read when a command runs, not here."""
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process: parsing never changes it."""
+    parser = _Parser(
         prog="tiltkit",
         description="Exact Cartan/Coxeter analysis, Brauer graph mutation, "
         "g-matrix exploration, and quadratic-form lattice enumeration.",
@@ -319,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="algebra family registry")
     p.add_argument("--name", help="family name")
-    p.add_argument("--list", action="store_true", help="print the whole registry")
-    p.add_argument("--full", action="store_true", help="full entry, not just the Cartan")
-    p.add_argument("--dot", action="store_true", help="DOT of the quiver presentation")
-    for key in _FAMILY_PARAMS:
-        p.add_argument(f"--{key}", type=int, default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--list", action="store_true", help="print the whole registry")
+    mode.add_argument("--full", action="store_true", help="full entry, not just the Cartan")
+    mode.add_argument("--dot", action="store_true", help="DOT of the quiver presentation")
+    _add_parameter_flags(p)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("te", help="trivial extension Cartan matrix C + C^T")
@@ -353,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     for action in ("reach-shift", "frontier"):
         a = actions.add_parser(action)
         a.add_argument("--gens", required=True, help="generators JSON: {name: matrix, ...}")
-        a.add_argument("--depth", type=int, default=None)
+        a.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     a = actions.add_parser("alternating")
     a.add_argument("--m", type=int, required=True)
     a = actions.add_parser("delta")
@@ -371,30 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (
-    DomainError,
-    SingularCartanError,
-    SingularMatrixError,
-    LeafEdgeError,
-    UnknownFamilyError,
-    InfiniteDimensionalError,
-)
-
-
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
         return args.func(args)
     except (MalformedInputError, UnknownParameterError) as exc:
         _emit({"error": {"kind": "malformed_input", "message": str(exc)}})
         return 2
-    except _DOMAIN_ERRORS as exc:
-        _emit({"error": {"kind": "domain", "message": str(exc)}})
-        return 1
+    # every domain error of the package (DomainError, SingularCartanError,
+    # LeafEdgeError, UnknownFamilyError, ...) is a ValueError
     except (KeyError, ValueError) as exc:
         _emit({"error": {"kind": "domain", "message": str(exc)}})
         return 1

@@ -105,24 +105,12 @@ class SearchResult:
     depth_searched: int | None = None
     reason: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "word": list(self.word) if self.word is not None else None,
-            "target": (
-                [[str(x) for x in row] for row in self.target.entries]
-                if self.target is not None
-                else None
-            ),
-            "depth_searched": self.depth_searched,
-            "reason": self.reason,
-        }
-
 
 def shift_targets(n: int) -> list[RationalMatrix]:
     """Matrices witnessing the shift up to algebra automorphism: the n!
-    negated permutation matrices.  A reference only; searches test
-    membership with :func:`is_negated_permutation`."""
+    negated permutation matrices.  Searches test membership with
+    :func:`is_negated_permutation`; only the 2x2 residual check of
+    :func:`alternating_shift_search` walks the list."""
     return [
         RationalMatrix([[-int(p[i] == j) for j in range(n)] for i in range(n)])
         for p in itertools.permutations(range(n))
@@ -243,7 +231,7 @@ def reach_shift(
 
 
 # the two 2x2 negated permutation matrices
-_SHIFT_TARGETS_2 = (-RationalMatrix.identity(2), RationalMatrix([[0, -1], [-1, 0]]))
+_SHIFT_TARGETS_2 = tuple(shift_targets(2))
 
 
 def alternating_shift_search(
@@ -340,13 +328,6 @@ class DeltaSequence:
     vectors: tuple[tuple[int, int], ...]
     values: tuple[Fraction, ...]
     constant: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "vectors": [list(v) for v in self.vectors],
-            "values": [str(x) for x in self.values],
-            "constant": self.constant,
-        }
 
 
 def delta_sequence(m: int, l: int, terms: int) -> DeltaSequence:

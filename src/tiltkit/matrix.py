@@ -59,12 +59,6 @@ class RationalMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols

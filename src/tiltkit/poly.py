@@ -137,7 +137,6 @@ class Polynomial:
 
 
 X = Polynomial([0, 1])
-ONE = Polynomial([1])
 
 
 def euler_phi(d: int) -> int:

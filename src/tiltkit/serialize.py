@@ -3,16 +3,20 @@
 Matrix JSON: ``{"rows": n, "cols": m, "entries": [["p/q", ...], ...]}`` with
 integer shorthand ``"5"`` permitted on input.  Polynomials are coefficient
 arrays, constant term first.  Quivers and ribbon graphs use the documented
-object schemas.  DOT output is deterministic; ribbon graphs annotate the
-cyclic order through port numbers on the half-edges.
+object schemas.  Result objects (analysis reports, search results, verdicts,
+certificates) reach JSON through :func:`to_json` alone.  DOT output is
+deterministic; ribbon graphs annotate the cyclic order through port numbers
+on the half-edges.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 from .brauer import RibbonEdge, RibbonGraph, RibbonVertex
 from .explore import Frontier
+from .families import AlgebraFamilyEntry
 from .matrix import RationalMatrix
 from .poly import Polynomial
 from .quiver import Arrow, MonomialPresentation, Quiver
@@ -76,6 +80,35 @@ def matrix_from_json(data) -> RationalMatrix:
 
 def poly_to_json(p: Polynomial) -> list[str]:
     return [str(c) for c in p.coeffs]
+
+
+def to_json(x):
+    """The JSON value of a result: a dataclass becomes the object of its
+    fields, a matrix its rows of rational strings (a top-level matrix takes
+    :func:`matrix_to_json` instead), a polynomial :func:`poly_to_json`, a
+    rational its string and a tuple a list; anything else stays as it is."""
+    if isinstance(x, RationalMatrix):
+        return [[str(v) for v in row] for row in x.entries]
+    if isinstance(x, Polynomial):
+        return poly_to_json(x)
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, tuple):
+        return [to_json(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return {f.name: to_json(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return x
+
+
+def family_to_json(entry: AlgebraFamilyEntry) -> dict:
+    """A registry entry without its presentation; its Cartan matrix is a
+    top-level matrix object."""
+    return {
+        "name": entry.name,
+        "params": entry.params,
+        "cartan": matrix_to_json(entry.cartan),
+        "note": entry.note,
+    }
 
 
 # -- quivers ------------------------------------------------------------------

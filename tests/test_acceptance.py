@@ -195,7 +195,7 @@ def test_criterion_4_mutation_g_matrix_properties():
             and all(len(v.order) == 2 for v in g.vertices)
         )
         cols = {
-            tuple(mutation_g_matrix(digon, e.id).column(i))
+            tuple(row[i] for row in mutation_g_matrix(digon, e.id).entries)
             for e in digon.edges
             for i in range(2)
         }

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from tiltkit import cli
-from tiltkit.cli import build_parser, run
+from tiltkit.cli import DEFAULT_DEPTH, build_parser, run
+from tiltkit.families import FAMILY_NAMES, family
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,6 +53,31 @@ def test_alternating_golden(capsys):
     assert out == (GOLDEN / "alternating_m4.json").read_text()
 
 
+REACH_GENS = str(GOLDEN / "reach_gens_input.json")
+COLUMN_SUMS_ONE_GENS = str(GOLDEN / "reach_gens_column_sums_one_input.json")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["explore", "delta", "--m", "3", "--l", "2", "--t", "5"], "delta_m3_l2.json"),
+        (["explore", "reach-shift", "--gens", REACH_GENS, "--depth", "3"],
+         "reach_shift_found.json"),
+        (["explore", "reach-shift", "--gens", COLUMN_SUMS_ONE_GENS, "--depth", "3"],
+         "reach_shift_certified.json"),
+        (["explore", "reach-shift", "--gens", REACH_GENS, "--depth", "1"],
+         "reach_shift_not_found.json"),
+        (["family", "--list"], "family_list.json"),
+        (["family", "--name", "bgs", "--n", "4", "--r", "2", "--m", "1", "--full"],
+         "family_bgs_full.json"),
+    ],
+    ids=["delta", "reach-found", "reach-certified", "reach-not-found", "family-list",
+         "family-full"],
+)
+def test_result_golden(capsys, argv, golden):
+    assert _run(capsys, argv) == (GOLDEN / golden).read_text()
+
+
 def test_alternating_has_no_bound_option(capsys):
     _run(capsys, ["explore", "alternating", "--m", "4", "--bound", "5"], expect_code=2)
 
@@ -91,7 +118,8 @@ def test_option_of_another_action_exits_2(capsys, tmp_path, action):
         [str(gens) if x == GENS_FILE else x for x in args] for args in FOREIGN_OPTIONS[action]
     )
     _run(capsys, argv)
-    assert _run(capsys, argv + foreign, expect_code=2) == ""
+    out = _run(capsys, argv + foreign, expect_code=2)
+    assert json.loads(out)["error"]["kind"] == "malformed_input"
 
 
 def test_lattice_golden(capsys):
@@ -285,22 +313,64 @@ def test_exit_code_domain(capsys):
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
-def test_env_depth_override(capsys, monkeypatch, tmp_path):
-    gens = {
-        "T": {"entries": [["-1", "0"], ["1", "1"]]},
-        "U": {"entries": [["1", "1"], ["0", "-1"]]},
-    }
+def test_depth_option_and_default(capsys, tmp_path):
     f = tmp_path / "gens.json"
-    f.write_text(json.dumps(gens))
-    monkeypatch.setenv("TILTKIT_DEPTH", "1")
-    out = json.loads(_run(capsys, ["explore", "reach-shift", "--gens", str(f)]))
+    f.write_text(json.dumps({"T": {"entries": [["1", "1"], ["0", "1"]]}}))
+    argv = ["explore", "reach-shift", "--gens", str(f)]
+    out = json.loads(_run(capsys, argv))
     assert out["status"] == "not_found_within_depth"
-    assert out["depth_searched"] == 1
-    monkeypatch.setenv("TILTKIT_DEPTH", "3")
-    out = json.loads(_run(capsys, ["explore", "reach-shift", "--gens", str(f)]))
-    assert out["status"] == "found"
-    monkeypatch.setenv("TILTKIT_DEPTH", "oops")
-    _run(capsys, ["explore", "reach-shift", "--gens", str(f)], expect_code=2)
+    assert out["depth_searched"] == DEFAULT_DEPTH
+    out = json.loads(_run(capsys, argv + ["--depth", "3"]))
+    assert out["depth_searched"] == 3
+    out = json.loads(_run(capsys, argv + ["--depth", "oops"], expect_code=2))
+    assert out["error"] == {
+        "kind": "malformed_input",
+        "message": "argument --depth: invalid int value: 'oops'",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--no-such-flag"],
+        ["nonsense"],
+        [],
+        ["brauer", "mutate", "--graph", str(GOLDEN / "digon_input.json")],
+        ["family", "--name", "bgs", "--full", "--dot"],
+        ["family", "--list", "--full"],
+        ["family", "--list", "--dot"],
+        ["family", "--list", "--name", "nope"],
+        ["family", "--name", "kronecker", "--l", "x"],
+    ],
+    ids=["unknown-option", "unknown-command", "no-command", "missing-option",
+         "full-and-dot", "list-and-full", "list-and-dot", "list-and-name", "bad-int"],
+)
+def test_usage_error_prints_the_json_error(capsys, argv):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "malformed_input"
+    assert err == ""
+
+
+def test_help_exits_0(capsys):
+    assert run(["family", "--help"]) == 0
+    assert "--list" in capsys.readouterr().out
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices[name]
+
+
+def test_family_flags_are_the_registry_parameters():
+    taken = {key for name in FAMILY_NAMES for key in family(name).params}
+    for command, others in (("analyze", set()), ("te", set()), ("family", set()),
+                            ("lattice", {"radius"})):
+        flags = {a.dest for a in _subparser(command)._actions if a.type is int}
+        assert flags == taken | others, command
 
 
 @pytest.mark.parametrize("action", ["reach-shift", "frontier"])
@@ -326,33 +396,24 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def test_cached_parser_runs_like_a_fresh_one(capsys, monkeypatch, tmp_path):
-    gens = tmp_path / "gens.json"
-    gens.write_text(json.dumps({
-        "T": {"entries": [["-1", "0"], ["1", "1"]]},
-        "U": {"entries": [["1", "1"], ["0", "-1"]]},
-    }))
+def test_cached_parser_runs_like_a_fresh_one(capsys, monkeypatch):
+    gens = str(GOLDEN / "reach_gens_input.json")
     cartan = str(GOLDEN / "four_vertex_cartan_input.json")
-    # (TILTKIT_DEPTH, argv): parse errors between good runs, and the
-    # environment changed between runs that read it
+    # parse errors between good runs, and runs with and without --depth
     calls = [
-        (None, ["analyze", "--cartan", cartan]),
-        (None, ["analyze", "--no-such-flag"]),
-        (None, ["explore", "reach-shift", "--gens", str(gens), "--depth", "x"]),
-        ("1", ["explore", "reach-shift", "--gens", str(gens)]),
-        (None, ["nonsense"]),
-        ("3", ["explore", "reach-shift", "--gens", str(gens)]),
-        ("oops", ["explore", "reach-shift", "--gens", str(gens)]),
-        (None, ["analyze", "--cartan", cartan]),
+        ["analyze", "--cartan", cartan],
+        ["analyze", "--no-such-flag"],
+        ["explore", "reach-shift", "--gens", gens, "--depth", "x"],
+        ["explore", "reach-shift", "--gens", gens, "--depth", "1"],
+        ["nonsense"],
+        ["explore", "reach-shift", "--gens", gens],
+        ["family", "--list", "--name", "bgs"],
+        ["analyze", "--cartan", cartan],
     ]
 
     def run_all():
         results = []
-        for depth, argv in calls:
-            if depth is None:
-                monkeypatch.delenv("TILTKIT_DEPTH", raising=False)
-            else:
-                monkeypatch.setenv("TILTKIT_DEPTH", depth)
+        for argv in calls:
             code = run(argv)
             results.append((code, *capsys.readouterr()))
         return results

@@ -1,7 +1,8 @@
 """The runtime decides every verdict over the rationals: no module of the
 package imports numpy or touches a float, and a full CLI run never loads
-numpy.  No module imports a name it never uses, and no cross-check is a bare
-``assert``, which ``python -O`` strips."""
+numpy.  No module imports a name it never uses, every top-level name is read
+by some module or exported, and no cross-check is a bare ``assert``, which
+``python -O`` strips."""
 
 import ast
 import json
@@ -12,6 +13,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+
+import tiltkit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "tiltkit").glob("*.py"))
@@ -74,6 +77,46 @@ def test_unused_import_scan_sees_what_it_forbids():
         "from .poly import cyclotomic\nx = lcm(2, 3)\n"
     )
     assert _unused_imports(ast.parse(code)) == ["os", "j", "gcd", "cyclotomic"]
+
+
+def _unread_names(trees: dict[str, ast.AST], exported: set[str]) -> list[str]:
+    """``module.name`` for each top-level def, class or assignment of the
+    modules that no module reads and ``exported`` does not hold."""
+    read = {
+        node.id
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}.{name}"
+                for name in names
+                if not name.startswith("__") and name not in read | exported
+            ]
+    return unread
+
+
+def test_every_top_level_name_is_read_or_exported():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+    assert _unread_names(trees, set(tiltkit.__all__)) == []
+
+
+def test_api_surface_scan_sees_what_it_forbids():
+    trees = {
+        "a": ast.parse("X = 1\nY: int = 2\n__version__ = '1'\ndef f():\n    return X\n"),
+        "b": ast.parse("from .a import f\nclass C:\n    pass\ndef g():\n    return f()\n"),
+    }
+    assert _unread_names(trees, {"g"}) == ["a.Y", "b.C"]
 
 
 def _bare_asserts(tree: ast.AST) -> list[int]:

@@ -4,9 +4,9 @@ import pytest
 
 from tiltkit.families import (
     FAMILY_NAMES,
+    FAMILY_PARAMETERS,
     UnknownFamilyError,
     UnknownParameterError,
-    _DEFAULT_PARAMS,
     family,
     list_families,
 )
@@ -34,7 +34,7 @@ def test_unknown_parameter():
 
 def test_omitted_parameters_take_the_listed_defaults():
     for name in FAMILY_NAMES:
-        assert family(name) == family(name, **_DEFAULT_PARAMS[name])
+        assert family(name) == family(name, **family(name).params)
     assert family("am").params == {"m": 2, "l": 1}
     assert family("bgs", r=2).params == {"n": 3, "r": 2, "m": 0}
 
@@ -171,3 +171,26 @@ def test_parameter_validation():
         family("kronecker", l=0)
     with pytest.raises(ValueError):
         family("am", m=0, l=1)
+
+
+def test_checks_run_in_order():
+    # unknown family, unknown parameter, lower bounds in table order, then
+    # the l check of b_m
+    with pytest.raises(UnknownFamilyError):
+        family("nope", r=0)
+    with pytest.raises(UnknownParameterError):
+        family("am", m=0, r=1)
+    with pytest.raises(ValueError, match="parameter m must be >= 1, got 0"):
+        family("am", m=0, l=0)
+    with pytest.raises(ValueError, match="parameter l must be >= 2, got 1"):
+        family("lambda_m", m=1, l=1)
+    with pytest.raises(ValueError, match="parameter m must be >= 2, got 1"):
+        family("b_m", m=1, l=2)
+    with pytest.raises(ValueError, match="l = 1 only"):
+        family("b_m", m=2, l=2)
+
+
+def test_parameters_are_the_union_over_the_registry():
+    taken = {key for e in list_families() for key in e.params}
+    assert set(FAMILY_PARAMETERS) == taken
+    assert len(FAMILY_PARAMETERS) == len(taken)

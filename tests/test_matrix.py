@@ -22,8 +22,8 @@ small_ints = st.integers(min_value=-6, max_value=6)
 def test_construction_and_access():
     m = RationalMatrix([[1, "1/2"], [Fraction(3, 4), 0]])
     assert m[0, 1] == Fraction(1, 2)
-    assert m.row(1) == (Fraction(3, 4), Fraction(0))
-    assert m.column(0) == (Fraction(1), Fraction(3, 4))
+    assert m.entries[1] == (Fraction(3, 4), Fraction(0))
+    assert tuple(row[0] for row in m.entries) == (Fraction(1), Fraction(3, 4))
     assert m.nrows == m.ncols == 2
 
 

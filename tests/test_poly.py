@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltkit.poly import (
-    ONE,
     Polynomial,
     X,
     cyclotomic,
     euler_phi,
     is_cyclotomic_product,
 )
+
+ONE = Polynomial([1])
 
 coeff_lists = st.lists(st.integers(min_value=-5, max_value=5), max_size=6)
 

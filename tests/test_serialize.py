@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from tiltkit.brauer import RibbonEdge, RibbonGraph, RibbonVertex
-from tiltkit.explore import generate
+from tiltkit.analysis import AnalysisReport
+from tiltkit.brauer import Certificate, GraphVerdict, RibbonEdge, RibbonGraph, RibbonVertex
+from tiltkit.explore import DeltaSequence, SearchResult, generate
 from tiltkit.matrix import RationalMatrix
 from tiltkit.poly import Polynomial
 from tiltkit.quiver import Arrow, MonomialPresentation, Quiver
@@ -17,6 +20,7 @@ from tiltkit.serialize import (
     ribbon_from_json,
     ribbon_to_dot,
     ribbon_to_json,
+    to_json,
 )
 
 
@@ -50,6 +54,93 @@ def test_matrix_malformed():
 
 def test_poly_to_json():
     assert poly_to_json(Polynomial([1, "1/2", -3])) == ["1", "1/2", "-3"]
+
+
+def test_to_json_analysis_report():
+    report = AnalysisReport(
+        regular=True,
+        symmetrized_definiteness="indefinite",
+        euler_form_positive=False,
+        cyclotomic_type="no",
+        cyclotomic_indices=(1, 6),
+        has_eigenvalue_one=None,
+        diagonalizable=True,
+        coxeter_trace=Fraction(-7, 3),
+        coxeter=RationalMatrix([["1/2", 0], [-1, "5/3"]]),
+        coxeter_char_poly=Polynomial(["2/3", -1, 1]),
+    )
+    assert to_json(report) == {
+        "regular": True,
+        "symmetrized_definiteness": "indefinite",
+        "euler_form_positive": False,
+        "cyclotomic_type": "no",
+        "cyclotomic_indices": [1, 6],
+        "has_eigenvalue_one": None,
+        "diagonalizable": True,
+        "coxeter_trace": "-7/3",
+        "coxeter": [["1/2", "0"], ["-1", "5/3"]],
+        "coxeter_char_poly": ["2/3", "-1", "1"],
+    }
+    unknown = AnalysisReport(False, "positive_semidefinite_singular", *[None] * 8)
+    assert to_json(unknown) == {
+        "regular": False,
+        "symmetrized_definiteness": "positive_semidefinite_singular",
+        **dict.fromkeys(
+            ["euler_form_positive", "cyclotomic_type", "cyclotomic_indices",
+             "has_eigenvalue_one", "diagonalizable", "coxeter_trace", "coxeter",
+             "coxeter_char_poly"]
+        ),
+    }
+
+
+def test_to_json_search_result():
+    found = SearchResult("found", ("T", "U"), RationalMatrix([[0, -1], [-1, 0]]), 2)
+    assert to_json(found) == {
+        "status": "found",
+        "word": ["T", "U"],
+        "target": [["0", "-1"], ["-1", "0"]],
+        "depth_searched": 2,
+        "reason": "",
+    }
+    assert to_json(SearchResult("certified_never", reason="why")) == {
+        "status": "certified_never",
+        "word": None,
+        "target": None,
+        "depth_searched": None,
+        "reason": "why",
+    }
+
+
+def test_to_json_delta_sequence():
+    seq = DeltaSequence(((1, 0), (2, -1)), (Fraction(6), Fraction(1, 2)), False)
+    assert to_json(seq) == {
+        "vectors": [[1, 0], [2, -1]],
+        "values": ["6", "1/2"],
+        "constant": False,
+    }
+
+
+def test_to_json_graph_verdict_and_certificate():
+    verdict = GraphVerdict(1, False, True, True, False)
+    assert to_json(verdict) == {
+        "betti": 1,
+        "bipartite": False,
+        "odd_cycle_unique": True,
+        "tilting_discrete": True,
+        "k0_has_free_part": False,
+    }
+    assert to_json(Certificate(True, "one_vertex", "a statement", True)) == {
+        "applicable": True,
+        "graph_class": "one_vertex",
+        "statement": "a statement",
+        "generator_column_sums_verified": True,
+    }
+    assert to_json(Certificate(False)) == {
+        "applicable": False,
+        "graph_class": None,
+        "statement": None,
+        "generator_column_sums_verified": False,
+    }
 
 
 def _pres():
