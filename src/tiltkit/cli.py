@@ -111,8 +111,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    if args.list and args.name:
-        raise MalformedInputError("argument --list: not allowed with argument --name")
+    given = [key for key in ("name", *FAMILY_PARAMETERS) if getattr(args, key) is not None]
+    if args.list and given:
+        raise MalformedInputError(f"argument --list: not allowed with argument --{given[0]}")
     if args.list:
         _emit([family_to_json(e) for e in list_families()])
         return 0
@@ -221,6 +222,8 @@ def _cmd_explore(args) -> int:
         seq = delta_sequence(args.m, args.l, args.t)
         _emit(to_json(seq))
         return 0
+    if args.depth < 0:
+        raise MalformedInputError(f"argument --depth: must be >= 0, got {args.depth}")
     gens = _load_generators(args.gens)
     if args.action == "reach-shift":
         _emit(to_json(reach_shift(gens, args.depth)))

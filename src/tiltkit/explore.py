@@ -15,8 +15,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .linalg import matrix_order
-from .matrix import RationalMatrix
+from .linalg import _integer_rows, matrix_order
+from .matrix import RationalMatrix, _frac, _integers
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,8 @@ def reach_shift(
     certified unreachable without enumeration.
     """
     _check_generators(generators)
+    if max_depth < 0:
+        raise ValueError("depth must be >= 0")
     if all(
         all(s == 1 for s in g.column_sums()) for g in generators.values()
     ):
@@ -219,8 +221,6 @@ def reach_shift(
                 "products; every negated permutation has column sums -1"
             ),
         )
-    if max_depth < 0:
-        raise ValueError("depth must be >= 0")
     hit = _find_shift(generators, max_depth)
     if hit is None:
         return SearchResult(status="not_found_within_depth", depth_searched=max_depth)
@@ -319,8 +319,15 @@ def delta(c: RationalMatrix, v: Sequence) -> Fraction:
     """Value v^T C v of the symmetric form attached to C."""
     if not c.is_square:
         raise ValueError("delta requires a square matrix")
-    w = c.vec_mul(v)
-    return sum(Fraction(x) * y for x, y in zip(v, w))
+    return _form_value(*_integer_rows(c), v)
+
+
+def _form_value(rows: list[list[int]], scale: int, v: Sequence) -> Fraction:
+    """v^T C v for C = rows / scale on ints: u^T rows u / (scale b^2) for v = u / b."""
+    if len(v) != len(rows):
+        raise ValueError("vector length does not match column count")
+    u, b = _integers([x if isinstance(x, int) else _frac(x) for x in v])
+    return Fraction(sum(x * sum(map(mul, row, u)) for x, row in zip(u, rows)), scale * b * b)
 
 
 @dataclass(frozen=True)
@@ -342,10 +349,10 @@ def delta_sequence(m: int, l: int, terms: int) -> DeltaSequence:
         raise ValueError("need at least one term")
     if m < 1 or l < 1:
         raise ValueError("parameters must be >= 1")
-    c = RationalMatrix([[2 * m, l], [l, 2]])
+    rows = [[2 * m, l], [l, 2]]
     a = [0, 0, 1]  # a_0 unused; a_1 = 0, a_2 = 1
     while len(a) < terms + 2:
         a.append(l * a[-1] - a[-2])
     vectors = tuple((a[t + 1], -a[t]) for t in range(1, terms + 1))
-    values = tuple(delta(c, v) for v in vectors)
+    values = tuple(_form_value(rows, 1, v) for v in vectors)
     return DeltaSequence(vectors, values, constant=len(set(values)) == 1)

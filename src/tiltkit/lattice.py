@@ -14,8 +14,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .explore import delta
-from .linalg import ldl
+from .explore import _form_value, delta
+from .linalg import _integer_rows, ldl
 from .matrix import RationalMatrix
 
 
@@ -99,10 +99,10 @@ def bounded_box(
     if radius < 0:
         raise ValueError("radius must be >= 0")
     z = Fraction(z)
-    n = c.nrows
+    rows, scale = _integer_rows(c)  # cleared once for every point
     out = [
         v
-        for v in itertools.product(range(-radius, radius + 1), repeat=n)
-        if delta(c, v) == z
+        for v in itertools.product(range(-radius, radius + 1), repeat=c.nrows)
+        if _form_value(rows, scale, v) == z
     ]
     return tuple(sorted(out))

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .matrix import RationalMatrix, SingularMatrixError, row_reduce
-from .poly import Polynomial, is_cyclotomic_product
+from .matrix import RationalMatrix, SingularMatrixError, _integers, row_reduce
+from .poly import Polynomial, _radical, is_cyclotomic_product
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE_SINGULAR = "positive_semidefinite_singular"
@@ -60,17 +60,16 @@ def is_diagonalizable(m: RationalMatrix, chi: Polynomial) -> bool:
 
     The minimal polynomial has the roots of chi, so it is squarefree exactly
     when it divides the radical s = chi / gcd(chi, chi'), that is when
-    s(M) = 0 (a squarefree chi is s).  The sum runs on ints over the memoised
-    powers: for s_k = a_k / d_k, M^k = P_k / L_k and D = lcm(d_k L_k),
-    D s(M) = sum of (a_k D / (d_k L_k)) P_k.
+    s(M) = 0 (a squarefree chi is s).  s is taken on ints, up to a constant,
+    and summed on ints over the memoised powers: for M^k = P_k / L_k and
+    D = lcm(L_k), D s(M) = sum of (s_k D / L_k) P_k.
     """
-    g = chi.gcd(chi.derivative())
-    if g.degree == 0:
+    s = _radical(_integers(chi.coeffs)[0])
+    if len(s) == len(chi.coeffs):
         return True
-    terms = [(c, *_integer_rows(p))
-             for c, p in zip(chi.divmod(g)[0].coeffs, m.powers()) if c]
-    d = lcm(*(c.denominator * scale for c, _, scale in terms))
-    weights = [c.numerator * (d // (c.denominator * scale)) for c, _, scale in terms]
+    terms = [(c, *_integer_rows(p)) for c, p in zip(s, m.powers()) if c]
+    d = lcm(*(scale for _, _, scale in terms))
+    weights = [c * (d // scale) for c, _, scale in terms]
     flat = [[x for row in rows for x in row] for _, rows, _ in terms]
     return not any(sum(w * x for w, x in zip(weights, column)) for column in zip(*flat))
 
@@ -78,9 +77,8 @@ def is_diagonalizable(m: RationalMatrix, chi: Polynomial) -> bool:
 def _integer_rows(m: RationalMatrix) -> tuple[list[list[int]], int]:
     """The rows of m times the lcm of its denominators, as Python ints, and
     that lcm."""
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row]
-            for row in m.entries], scale
+    flat, scale = _integers([x for row in m.entries for x in row])
+    return [flat[i : i + m.ncols] for i in range(0, len(flat), m.ncols)], scale
 
 
 def ldl(s: RationalMatrix) -> tuple[list[Fraction], list[list[Fraction]], bool]:

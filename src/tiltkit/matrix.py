@@ -26,6 +26,12 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot convert {x!r} to an exact rational")
 
 
+def _integers(xs: Sequence) -> tuple[list[int], int]:
+    """xs times the lcm of their denominators, as Python ints, and that lcm."""
+    scale = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs], scale
+
+
 class RationalMatrix:
     """Immutable matrix over the rationals.
 
@@ -204,8 +210,7 @@ def row_reduce(rows: list[Sequence], ncols: int) -> tuple[list[int], Fraction, i
     """
     scales = []
     for i, row in enumerate(rows):
-        s = lcm(*(x.denominator for x in row))
-        rows[i] = [x.numerator * (s // x.denominator) for x in row]
+        rows[i], s = _integers(row)
         scales.append(s)
     pivots: list[int] = []
     sign, prev = 1, 1

@@ -1,14 +1,18 @@
 """Exact univariate polynomials and cyclotomic factor recognition.
 
-Coefficients are rationals, stored constant term first.  Integral monic
-polynomials (characteristic and Coxeter polynomials) are the main clients.
+``Polynomial``, with Fraction coefficients constant term first, stays the public
+type.  The verdicts run on Python int lists: gcd and squarefreeness, cyclotomic
+trial division, the radical of ``linalg.is_diagonalizable`` and the Sturm count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
+
+from .matrix import _integers
 
 
 class Polynomial:
@@ -91,19 +95,12 @@ class Polynomial:
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        q = [Fraction(0)] * max(len(rem) - len(div) + 1, 0)
-        lead = div[-1]
-        while len(rem) >= len(div):
-            f = rem[-1] / lead
-            shift = len(rem) - len(div)
-            q[shift] = f
-            for i, d in enumerate(div):
-                rem[shift + i] -= f * d
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(q), Polynomial(rem)
+        # self = a / s, other = b / t, lc(b)^e a = q b + r: divide q t, r by s lc(b)^e
+        (a, s), (b, t) = _integers(self.coeffs), _integers(other.coeffs)
+        q, r = _pseudo_divmod(a, b)
+        d = s * b[-1] ** len(q)
+        return (Polynomial([Fraction(x * t, d) for x in q]),
+                Polynomial([Fraction(x, d) for x in r]))
 
     def divides(self, other: "Polynomial") -> bool:
         return other.divmod(self)[1].is_zero
@@ -124,19 +121,12 @@ class Polynomial:
         return Polynomial([c / lead for c in self.coeffs])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        g = _gcd(_integers(self.coeffs)[0], _integers(other.coeffs)[0])
+        return Polynomial(g).monic()
 
     @property
     def is_squarefree(self) -> bool:
-        if self.is_zero:
-            return False
-        return self.gcd(self.derivative()).degree <= 0
-
-
-X = Polynomial([0, 1])
+        return not self.is_zero and self.gcd(self.derivative()).degree <= 0
 
 
 def euler_phi(d: int) -> int:
@@ -154,19 +144,59 @@ def euler_phi(d: int) -> int:
     return result
 
 
+def _primitive(a: list[int]) -> list[int]:
+    c = gcd(*a)  # the content, positive
+    return a if c < 2 else [x // c for x in a]
+
+
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int]]:
+    """(q, r) with lc(b)^e a = q b + r, deg r < deg b and e = deg a - deg b + 1
+    (q = 0, r = a when e <= 0): exact division when b is monic."""
+    lead, low = b[-1], b[:-1]
+    r, q = list(a), [0] * max(len(a) - len(low), 0)
+    for k in reversed(range(len(q))):
+        f = r.pop()
+        if lead != 1:
+            q, r = [x * lead for x in q], [x * lead for x in r]
+        q[k] = f
+        for i, y in enumerate(low):
+            r[k + i] -= f * y
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd of a and b up to a nonzero constant: the primitive PRS."""
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
+
+
+def _radical(a: list[int]) -> list[int]:
+    """A primitive polynomial with the roots of a, each once: a / gcd(a, a')."""
+    return _primitive(_pseudo_divmod(a, _gcd(a, [k * c for k, c in enumerate(a)][1:]))[0])
+
+
+def _sturm_next(a: list[int], b: list[int]) -> list[int]:
+    """-rem(a, b) up to a positive factor, primitive: -sign(lc(b)^e) lc(b)^e rem(a, b)."""
+    q, r = _pseudo_divmod(a, b)
+    sign = 1 if b[-1] < 0 and len(q) % 2 else -1  # e = len(q) steps
+    return _primitive([sign * x for x in r])
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> Polynomial:
     """d-th cyclotomic polynomial, computed by exact division of x^d - 1."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = Polynomial([-1] + [0] * (d - 1) + [1])
+    num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            q, r = num.divmod(cyclotomic(e))
-            if not r.is_zero:
+            num, r = _pseudo_divmod(num, [c.numerator for c in cyclotomic(e).coeffs])
+            if r:
                 raise AssertionError(f"cyclotomic({e}) does not divide x^{d} - 1")
-            num = q
-    return num
+    return Polynomial(num)
 
 
 def is_cyclotomic_product(p: Polynomial) -> tuple[bool, tuple[int, ...]]:
@@ -182,21 +212,20 @@ def is_cyclotomic_product(p: Polynomial) -> tuple[bool, tuple[int, ...]]:
     if not p.is_integral:
         raise ValueError("expected integer coefficients")
     indices: list[int] = []
-    rem = p
-    # phi(d) >= sqrt(d/2), so phi(d) <= deg forces d <= 2*deg^2.
+    rem = [c.numerator for c in p.coeffs]
     for d in range(1, 2 * p.degree * p.degree + 1):
-        if rem.degree == 0:
+        if len(rem) == 1:
             break
-        if euler_phi(d) > rem.degree:
+        if euler_phi(d) >= len(rem):
             continue
-        phi_d = cyclotomic(d)
-        while phi_d.degree <= rem.degree:
-            q, r = rem.divmod(phi_d)
-            if not r.is_zero:
+        phi_d = [c.numerator for c in cyclotomic(d).coeffs]
+        while len(phi_d) <= len(rem):
+            q, r = _pseudo_divmod(rem, phi_d)
+            if r:
                 break
             rem = q
             indices.append(d)
-    if rem.degree == 0:
+    if len(rem) == 1:
         return True, tuple(sorted(indices))
     return False, ()
 
@@ -208,28 +237,26 @@ def all_roots_on_unit_circle(p: Polynomial) -> bool:
     is x^m r(x + 1/x); y = z + 1/z maps each pair e^{+-it} to 2 cos t in
     (-2, 2), so the answer is whether r has m distinct roots there, counted
     by a Sturm chain (Basu, Pollack and Roy, Algorithms in Real Algebraic
-    Geometry, ch. 2)."""
+    Geometry, ch. 2).  Every step runs on Python ints."""
     if p.is_zero:
         raise ValueError("expected a nonzero polynomial")
-    q = p.divmod(p.gcd(p.derivative()))[0]
+    a = _radical(_integers(p.coeffs)[0])
     for root in (1, -1):
-        if q(root) == 0:
-            q = q.divmod(Polynomial([-root, 1]))[0]
-    a = q.coeffs
-    if q.degree % 2 or a != a[::-1]:
+        if sum(c * root**k for k, c in enumerate(a)) == 0:
+            a = _pseudo_divmod(a, [-root, 1])[0]
+    if len(a) % 2 == 0 or a != a[::-1]:
         return False
-    m = q.degree // 2
+    m = len(a) // 2
     # x^k + x^-k = D_k(y): D_0 = 2, D_1 = y, D_k = y D_{k-1} - D_{k-2}
-    r, d_prev, d = Polynomial([a[m]]), Polynomial([2]), X
+    r, d_prev, d = [a[m]], [2], [0, 1]
     for k in range(1, m + 1):
-        r = r + Polynomial([a[m + k]]) * d
-        d_prev, d = d, X * d - d_prev
-    chain = [r, r.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-chain[-2].divmod(chain[-1])[1])
+        r = [a[m + k] * x + y for x, y in zip(d, r + [0])]
+        d_prev, d = d, [x - y for x, y in zip([0] + d, d_prev + [0, 0])]
+    chain = [r, [k * c for k, c in enumerate(r)][1:]]
+    while chain[-1]:
+        chain.append(_sturm_next(chain[-2], chain[-1]))
     changes = []
-    for y in (-2, 2):  # r(+-2) = (+-1)^m q(+-1) is nonzero
-        signs = [v > 0 for v in (f(y) for f in chain) if v]
+    for y in (-2, 2):  # r(+-2) = (+-1)^m a(+-1) is nonzero
+        signs = [v > 0 for v in (sum(c * y**k for k, c in enumerate(f)) for f in chain) if v]
         changes.append(sum(s != t for s, t in zip(signs, signs[1:])))
     return changes[0] - changes[1] == m
-

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,38 @@ from tiltkit.cli import DEFAULT_DEPTH, build_parser, run
 from tiltkit.families import FAMILY_NAMES, family
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+REACH_GENS = str(GOLDEN / "reach_gens_input.json")
+COLUMN_SUMS_ONE_GENS = str(GOLDEN / "reach_gens_column_sums_one_input.json")
+
+# the goldens of test_result_golden, by test id: (argv, golden file)
+RESULT_GOLDENS = {
+    "delta": (["explore", "delta", "--m", "3", "--l", "2", "--t", "5"], "delta_m3_l2.json"),
+    "reach-found": (["explore", "reach-shift", "--gens", REACH_GENS, "--depth", "3"],
+                    "reach_shift_found.json"),
+    "reach-certified": (["explore", "reach-shift", "--gens", COLUMN_SUMS_ONE_GENS,
+                         "--depth", "3"], "reach_shift_certified.json"),
+    "reach-not-found": (["explore", "reach-shift", "--gens", REACH_GENS, "--depth", "1"],
+                        "reach_shift_not_found.json"),
+    "family-list": (["family", "--list"], "family_list.json"),
+    "family-full": (["family", "--name", "bgs", "--n", "4", "--r", "2", "--m", "1", "--full"],
+                    "family_bgs_full.json"),
+}
+# every golden run of this module: the single golden tests read their argv here
+GOLDEN_RUNS = {
+    "analyze": (["analyze", "--cartan", str(GOLDEN / "four_vertex_cartan_input.json")],
+                "analyze_four_vertex.json"),
+    "brauer-decide": (["brauer", "decide", "--graph", str(GOLDEN / "digon_input.json")],
+                      "brauer_decide_digon.json"),
+    "brauer-certify": (["brauer", "certify", "--graph", str(GOLDEN / "digon_input.json")],
+                       "brauer_certify_digon.json"),
+    "brauer-dot": (["brauer", "dot", "--graph", str(GOLDEN / "digon_input.json")], "digon.dot"),
+    "family-kronecker-te": (["family", "--name", "kronecker_te", "--l", "2"],
+                            "family_kronecker_te_l2.json"),
+    "alternating": (["explore", "alternating", "--m", "4"], "alternating_m4.json"),
+    "lattice": (["lattice", "--family", "c3c3_c2", "--z", "5"], "lattice_c3c3_z5.json"),
+    **RESULT_GOLDENS,
+}
 
 
 def _run(capsys, argv, expect_code=0):
@@ -19,27 +53,28 @@ def _run(capsys, argv, expect_code=0):
     return out
 
 
+def _golden_run(capsys, name):
+    argv, golden = GOLDEN_RUNS[name]
+    out = _run(capsys, argv)
+    assert out == (GOLDEN / golden).read_text()
+    return out
+
+
 def test_analyze_golden(capsys):
-    out = _run(
-        capsys, ["analyze", "--cartan", str(GOLDEN / "four_vertex_cartan_input.json")]
-    )
-    assert out == (GOLDEN / "analyze_four_vertex.json").read_text()
+    _golden_run(capsys, "analyze")
 
 
 def test_brauer_decide_golden(capsys):
-    out = _run(capsys, ["brauer", "decide", "--graph", str(GOLDEN / "digon_input.json")])
-    assert out == (GOLDEN / "brauer_decide_digon.json").read_text()
+    out = _golden_run(capsys, "brauer-decide")
     assert json.loads(out)["tilting_discrete"] is False
 
 
 def test_brauer_certify_golden(capsys):
-    out = _run(capsys, ["brauer", "certify", "--graph", str(GOLDEN / "digon_input.json")])
-    assert out == (GOLDEN / "brauer_certify_digon.json").read_text()
+    _golden_run(capsys, "brauer-certify")
 
 
 def test_family_golden_and_pipe(capsys, monkeypatch, tmp_path):
-    out = _run(capsys, ["family", "--name", "kronecker_te", "--l", "2"])
-    assert out == (GOLDEN / "family_kronecker_te_l2.json").read_text()
+    out = _golden_run(capsys, "family-kronecker-te")
     # feed the family output into analyze via a file standing in for the pipe
     f = tmp_path / "c.json"
     f.write_text(out)
@@ -49,33 +84,38 @@ def test_family_golden_and_pipe(capsys, monkeypatch, tmp_path):
 
 
 def test_alternating_golden(capsys):
-    out = _run(capsys, ["explore", "alternating", "--m", "4"])
-    assert out == (GOLDEN / "alternating_m4.json").read_text()
-
-
-REACH_GENS = str(GOLDEN / "reach_gens_input.json")
-COLUMN_SUMS_ONE_GENS = str(GOLDEN / "reach_gens_column_sums_one_input.json")
+    _golden_run(capsys, "alternating")
 
 
 @pytest.mark.parametrize(
-    "argv, golden",
-    [
-        (["explore", "delta", "--m", "3", "--l", "2", "--t", "5"], "delta_m3_l2.json"),
-        (["explore", "reach-shift", "--gens", REACH_GENS, "--depth", "3"],
-         "reach_shift_found.json"),
-        (["explore", "reach-shift", "--gens", COLUMN_SUMS_ONE_GENS, "--depth", "3"],
-         "reach_shift_certified.json"),
-        (["explore", "reach-shift", "--gens", REACH_GENS, "--depth", "1"],
-         "reach_shift_not_found.json"),
-        (["family", "--list"], "family_list.json"),
-        (["family", "--name", "bgs", "--n", "4", "--r", "2", "--m", "1", "--full"],
-         "family_bgs_full.json"),
-    ],
-    ids=["delta", "reach-found", "reach-certified", "reach-not-found", "family-list",
-         "family-full"],
+    "argv, golden", list(RESULT_GOLDENS.values()), ids=list(RESULT_GOLDENS)
 )
 def test_result_golden(capsys, argv, golden):
     assert _run(capsys, argv) == (GOLDEN / golden).read_text()
+
+
+# the console entry point, in a fresh interpreter; exit 99 if -O is not in force
+OPTIMIZED_MAIN = (
+    "import sys\n"
+    "if sys.flags.optimize != 1:\n"
+    "    sys.exit(99)\n"
+    "from tiltkit.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_under_python_O(name):
+    # python -O strips bare asserts: every cross-check that decides an output
+    # must survive it, so the bytes and the exit code stay the golden ones
+    argv, golden = GOLDEN_RUNS[name]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_MAIN, *argv], env=env,
+        capture_output=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, (GOLDEN / golden).read_bytes()), proc.stderr
 
 
 def test_alternating_has_no_bound_option(capsys):
@@ -123,13 +163,11 @@ def test_option_of_another_action_exits_2(capsys, tmp_path, action):
 
 
 def test_lattice_golden(capsys):
-    out = _run(capsys, ["lattice", "--family", "c3c3_c2", "--z", "5"])
-    assert out == (GOLDEN / "lattice_c3c3_z5.json").read_text()
+    _golden_run(capsys, "lattice")
 
 
 def test_brauer_dot_golden(capsys):
-    out = _run(capsys, ["brauer", "dot", "--graph", str(GOLDEN / "digon_input.json")])
-    assert out == (GOLDEN / "digon.dot").read_text()
+    _golden_run(capsys, "brauer-dot")
 
 
 def test_analyze_identity_trivial(capsys, tmp_path):
@@ -422,3 +460,30 @@ def test_cached_parser_runs_like_a_fresh_one(capsys, monkeypatch):
     assert [r[0] for r in cached] == [0, 2, 2, 0, 2, 0, 2, 0]
     monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
     assert run_all() == cached
+
+
+@pytest.mark.parametrize("action", ["reach-shift", "frontier"])
+@pytest.mark.parametrize("gens", [REACH_GENS, COLUMN_SUMS_ONE_GENS],
+                         ids=["found-gens", "column-sums-one-gens"])
+def test_negative_depth_is_malformed_input(capsys, action, gens):
+    # the column-sum certificate does not answer before the depth is checked
+    out = _run(capsys, ["explore", action, "--gens", gens, "--depth", "-1"], expect_code=2)
+    assert json.loads(out)["error"] == {
+        "kind": "malformed_input",
+        "message": "argument --depth: must be >= 0, got -1",
+    }
+
+
+def test_depth_zero_is_accepted(capsys):
+    out = json.loads(_run(capsys, ["explore", "reach-shift", "--gens", REACH_GENS,
+                                   "--depth", "0"]))
+    assert out["status"] == "not_found_within_depth" and out["depth_searched"] == 0
+
+
+@pytest.mark.parametrize("flag", ["--l", "--m", "--n", "--r"])
+def test_family_list_refuses_a_parameter_flag(capsys, flag):
+    out = _run(capsys, ["family", "--list", flag, "7"], expect_code=2)
+    assert json.loads(out)["error"] == {
+        "kind": "malformed_input",
+        "message": f"argument --list: not allowed with argument {flag}",
+    }

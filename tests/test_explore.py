@@ -29,6 +29,12 @@ def kronecker_gens(l: int) -> dict[str, RationalMatrix]:
     }
 
 
+def test_negative_depth_raises_before_the_column_sum_certificate():
+    # the identity has column sums 1, so the certificate would apply
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        reach_shift({"E": RationalMatrix.identity(2)}, -1)
+
+
 def test_generate_identity_only():
     f = generate({"E": RationalMatrix.identity(2)}, 5)
     assert len(f.nodes) == 1

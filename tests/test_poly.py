@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from tiltkit.poly import (
     Polynomial,
-    X,
     cyclotomic,
     euler_phi,
     is_cyclotomic_product,
 )
 
 ONE = Polynomial([1])
+X = Polynomial([0, 1])
 
 coeff_lists = st.lists(st.integers(min_value=-5, max_value=5), max_size=6)
 
