@@ -3,10 +3,11 @@
 Deterministic JSON (sorted keys) or DOT on standard output.  Exit codes:
 0 success, 1 domain error (singular Cartan matrix where invertibility is
 required, leaf-edge mutation, unknown family, infinite-dimensional algebra),
-2 malformed input (also a usage error and a parameter the family does not
-take).  Exits 1 and 2 print one JSON object ``{"error": {"kind", "message"}}``
-on standard output.  ``-`` means standard input for any file argument.  The
-family parameter flags are those of the family registry.
+2 malformed input (also a usage error, a parameter the family does not
+take, and a count out of range: ``--depth`` or ``--radius`` below 0,
+``explore``'s ``--m``, ``--l`` or ``--t`` below 1).  Exits 1 and 2 print one
+JSON object ``{"error": {"kind", "message"}}`` on standard output.  ``-`` is
+standard input for any file argument; family parameter flags are the registry's.
 """
 
 from __future__ import annotations
@@ -208,22 +209,16 @@ def _load_generators(path: str) -> dict[str, RationalMatrix]:
 
 def _cmd_explore(args) -> int:
     if args.action == "alternating":
-        if args.m < 1:
-            raise DomainError("--m must be >= 1")
         mu1 = RationalMatrix([[-1, 0], [args.m, 1]])
         mu2 = RationalMatrix([[1, 1], [0, -1]])
-        result = alternating_shift_search(mu1, mu2)
-        out = to_json(result)
+        out = to_json(alternating_shift_search(mu1, mu2))
         out["mu1"] = matrix_to_json(mu1)
         out["mu2"] = matrix_to_json(mu2)
         _emit(out)
         return 0
     if args.action == "delta":
-        seq = delta_sequence(args.m, args.l, args.t)
-        _emit(to_json(seq))
+        _emit(to_json(delta_sequence(args.m, args.l, args.t)))
         return 0
-    if args.depth < 0:
-        raise MalformedInputError(f"argument --depth: must be >= 0, got {args.depth}")
     gens = _load_generators(args.gens)
     if args.action == "reach-shift":
         _emit(to_json(reach_shift(gens, args.depth)))
@@ -245,9 +240,9 @@ def _cmd_lattice(args) -> int:
         try:
             vectors = solutions(cartan, z)
         except ValueError as exc:
-            raise DomainError(
-                f"{exc}; use --radius for a bounded brute-force search"
-            ) from None
+            # bounded_box answers for a symmetric form only
+            hint = "; use --radius for a bounded brute-force search"
+            raise DomainError(f"{exc}{hint if cartan.is_symmetric else ''}") from None
         complete = True
     _emit(
         {
@@ -269,6 +264,19 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise MalformedInputError(message)
+
+
+def _at_least(minimum: int):
+    """An argparse type for a count: an int >= minimum, else a usage error."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return count
 
 
 def _add_parameter_flags(p: argparse.ArgumentParser) -> None:
@@ -333,18 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
     for action in ("reach-shift", "frontier"):
         a = actions.add_parser(action)
         a.add_argument("--gens", required=True, help="generators JSON: {name: matrix, ...}")
-        a.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+        a.add_argument("--depth", type=_at_least(0), default=DEFAULT_DEPTH)
     a = actions.add_parser("alternating")
-    a.add_argument("--m", type=int, required=True)
+    a.add_argument("--m", type=_at_least(1), required=True)
     a = actions.add_parser("delta")
-    a.add_argument("--m", type=int, required=True)
-    a.add_argument("--l", type=int, required=True)
-    a.add_argument("--t", type=int, default=20, help="number of delta terms")
+    a.add_argument("--m", type=_at_least(1), required=True)
+    a.add_argument("--l", type=_at_least(1), required=True)
+    a.add_argument("--t", type=_at_least(1), default=20, help="number of delta terms")
 
     p = sub.add_parser("lattice", help="integer solutions of v^T C v = z")
     p.add_argument("--cartan", help="matrix JSON file, or - for stdin")
     p.add_argument("--z", required=True, help="target value (rational)")
-    p.add_argument("--radius", type=int, default=None, help="bounded box search")
+    p.add_argument("--radius", type=_at_least(0), default=None, help="bounded box search")
     _add_family_flags(p)
     p.set_defaults(func=_cmd_lattice)
 

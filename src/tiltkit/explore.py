@@ -237,78 +237,49 @@ _SHIFT_TARGETS_2 = tuple(shift_targets(2))
 def alternating_shift_search(
     mu1: RationalMatrix, mu2: RationalMatrix, bound: int = 64
 ) -> SearchResult:
-    """Search alternating words mu2, mu2 mu1, mu2 mu1 mu2, ... (2x2 case)
-    for a negated permutation matrix.
+    """Test the alternating words mu2, mu2 mu1, mu2 mu1 mu2, ... (2x2 case)
+    of length at most 2 limit + 1, in order, for a negated permutation matrix.
 
-    With G = mu2 mu1, even lengths 2s give G^s and odd lengths 2s+1 give
-    G^s mu2.  When G has certified infinite order the answer is exact:
-    positive powers of G never hit a finite-order matrix, and the odd-length
-    family reduces to finite-order residuals, checked directly.
+    With G = mu2 mu1, length 2s gives G^s and length 2s + 1 gives G^s mu2.
+    The limit is read off the exact order of G:
+    - finite order k: k, past which the words repeat, so a miss is certified;
+    - certified infinite order: G^s (s >= 1) is never a target, which has
+      order 2, and G^s mu2 = T forces G^s = T mu2^{-1} (mu2 is invertible, as
+      det mu2 det mu1 = det G = +-1).  If every such residual has finite
+      order or det != +-1, the limit is 1 and a miss is certified; otherwise
+      it is ``bound``, at least 1;
+    - det G != +-1: ``bound``.
     """
     for m in (mu1, mu2):
         if (m.nrows, m.ncols) != (2, 2):
             raise ValueError("alternating search is implemented for 2x2 matrices")
     g = mu2 @ mu1
-
-    def word(length: int) -> tuple[str, ...]:
-        return tuple("mu2" if k % 2 == 0 else "mu1" for k in range(length))
-
-    def check_up_to(s_max: int) -> SearchResult | None:
-        power = RationalMatrix.identity(2)
-        for s in range(s_max + 1):
-            if s > 0 and is_negated_permutation(power):
-                return SearchResult(
-                    status="reached", word=word(2 * s), target=power,
-                    depth_searched=2 * s,
-                )
-            odd = power @ mu2  # G^s mu2, an alternating word of odd length
-            if is_negated_permutation(odd):
-                return SearchResult(
-                    status="reached", word=word(2 * s + 1), target=odd,
-                    depth_searched=2 * s + 1,
-                )
-            power = power @ g
-        return None
-
     order = matrix_order(g) if g.det() in (1, -1) else None
+    limit, reason = bound, ""
     if order is not None and order.kind == "finite":
-        hit = check_up_to(order.order)
-        if hit is not None:
-            return hit
-        return SearchResult(
-            status="certified_never",
-            reason=(
-                f"the alternating product has finite order {order.order}; all "
-                "distinct alternating words were checked exactly"
-            ),
+        limit, reason = order.order, (
+            f"the alternating product has finite order {order.order}; all "
+            "distinct alternating words were checked exactly"
         )
-    if order is not None and order.kind == "certified_infinite":
-        hit = check_up_to(1)
-        if hit is not None:
-            return hit
-        # even lengths: G^s with s >= 1 has infinite order while every negated
-        # permutation has order 2.  Odd lengths: G^s mu2 = T forces
-        # G^s = T mu2^{-1}; when every such residual has finite order (or
-        # determinant other than +-1) this is impossible for s >= 1, and
-        # s = 0, 1 were checked exactly above.
-        residuals_finite = mu2.det() == 0 or all(
-            (t @ mu2.inverse()).det() not in (1, -1)
-            or matrix_order(t @ mu2.inverse()).kind == "finite"
-            for t in _SHIFT_TARGETS_2
-        )
-        if residuals_finite:
-            return SearchResult(
-                status="certified_never",
-                reason=(
-                    "the alternating product of the two generators has "
-                    "infinite order (certified exactly) while every target "
-                    "and target residual has finite order, so no alternating "
-                    "word beyond the lengths already checked can match"
-                ),
+    elif order is not None:
+        limit = max(bound, 1)
+        residuals = [t @ mu2.inverse() for t in _SHIFT_TARGETS_2]
+        if all(r.det() not in (1, -1) or matrix_order(r).kind == "finite" for r in residuals):
+            limit, reason = 1, (
+                "the alternating product of the two generators has "
+                "infinite order (certified exactly) while every target "
+                "and target residual has finite order, so no alternating "
+                "word beyond the lengths already checked can match"
             )
-    hit = check_up_to(bound)
-    if hit is not None:
-        return hit
+    word = ("mu2", "mu1") * (limit + 1)
+    product = RationalMatrix.identity(2)
+    for length, name in enumerate(word):
+        if is_negated_permutation(product):
+            return SearchResult(status="reached", word=word[:length], target=product,
+                                depth_searched=length)
+        product = product @ (mu2 if name == "mu2" else mu1)
+    if reason:
+        return SearchResult(status="certified_never", reason=reason)
     return SearchResult(status="not_found", depth_searched=2 * bound + 1)
 
 

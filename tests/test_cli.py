@@ -28,6 +28,10 @@ RESULT_GOLDENS = {
     "family-list": (["family", "--list"], "family_list.json"),
     "family-full": (["family", "--name", "bgs", "--n", "4", "--r", "2", "--m", "1", "--full"],
                     "family_bgs_full.json"),
+    # one per branch of the alternating search: reached at lengths 3, 4 and
+    # 6, and certified by infinite order (m = 4 is the single golden below)
+    **{f"alternating-m{m}": (["explore", "alternating", "--m", str(m)],
+                             f"alternating_m{m}.json") for m in (1, 2, 3, 5)},
 }
 # every golden run of this module: the single golden tests read their argv here
 GOLDEN_RUNS = {
@@ -405,10 +409,9 @@ def _subparser(name: str) -> argparse.ArgumentParser:
 
 def test_family_flags_are_the_registry_parameters():
     taken = {key for name in FAMILY_NAMES for key in family(name).params}
-    for command, others in (("analyze", set()), ("te", set()), ("family", set()),
-                            ("lattice", {"radius"})):
+    for command in ("analyze", "te", "family", "lattice"):
         flags = {a.dest for a in _subparser(command)._actions if a.type is int}
-        assert flags == taken | others, command
+        assert flags == taken, command
 
 
 @pytest.mark.parametrize("action", ["reach-shift", "frontier"])
@@ -472,6 +475,53 @@ def test_negative_depth_is_malformed_input(capsys, action, gens):
         "kind": "malformed_input",
         "message": "argument --depth: must be >= 0, got -1",
     }
+
+
+# (argv with the count flag last, its bound): the bound is accepted and one
+# below it is malformed input
+COUNT_FLAGS = {
+    "reach-shift-depth": (["explore", "reach-shift", "--gens", REACH_GENS, "--depth"], 0),
+    "frontier-depth": (["explore", "frontier", "--gens", REACH_GENS, "--depth"], 0),
+    "lattice-radius": (["lattice", "--family", "c3c3_c2", "--z", "5", "--radius"], 0),
+    "alternating-m": (["explore", "alternating", "--m"], 1),
+    "delta-m": (["explore", "delta", "--l", "2", "--m"], 1),
+    "delta-l": (["explore", "delta", "--m", "3", "--l"], 1),
+    "delta-t": (["explore", "delta", "--m", "3", "--l", "2", "--t"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_FLAGS))
+def test_count_below_its_bound_is_malformed_input(capsys, case):
+    argv, bound = COUNT_FLAGS[case]
+    _run(capsys, argv + [str(bound)])
+    out = _run(capsys, argv + [str(bound - 1)], expect_code=2)
+    assert json.loads(out)["error"] == {
+        "kind": "malformed_input",
+        "message": f"argument {argv[-1]}: must be >= {bound}, got {bound - 1}",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # kronecker is not symmetric: no search of the CLI answers, so no hint
+        (["lattice", "--family", "kronecker", "--z", "1"], "LDL^T requires a symmetric matrix"),
+        (["lattice", "--family", "kronecker", "--z", "1", "--radius", "2"],
+         "bounded_box requires a symmetric matrix"),
+        (["lattice", "--family", "kronecker_te", "--l", "2", "--z", "1"],
+         "exact enumeration requires a positive definite form; "
+         "use --radius for a bounded brute-force search"),
+    ],
+    ids=["not-symmetric", "not-symmetric-radius", "not-positive-definite"],
+)
+def test_lattice_hints_radius_only_where_it_answers(capsys, argv, message):
+    out = _run(capsys, argv, expect_code=1)
+    assert json.loads(out)["error"] == {"kind": "domain", "message": message}
+
+
+def test_radius_answers_where_exact_enumeration_cannot(capsys):
+    argv = ["lattice", "--family", "kronecker_te", "--l", "2", "--z", "1", "--radius", "1"]
+    assert json.loads(_run(capsys, argv))["complete"] is False
 
 
 def test_depth_zero_is_accepted(capsys):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -402,9 +404,20 @@ def test_is_negated_permutation_non_square():
     assert not is_negated_permutation(RationalMatrix([[0, -1, 0], [-1, 0, 0]]))
 
 
+FINITE_ORDER_REASON = (
+    "the alternating product has finite order {}; all distinct alternating "
+    "words were checked exactly"
+)
+INFINITE_ORDER_REASON = (
+    "the alternating product of the two generators has infinite order "
+    "(certified exactly) while every target and target residual has finite "
+    "order, so no alternating word beyond the lengths already checked can match"
+)
+
+
 def _reference_alternating_shift_search(mu1, mu2, bound=64):
     # the search as it stood with the n! target set, set membership for
-    # every word and the residual certificate over that set
+    # every word, the residual certificate over that set and a second pass
     targets = set(shift_targets(2))
     g = mu2 @ mu1
 
@@ -433,7 +446,9 @@ def _reference_alternating_shift_search(mu1, mu2, bound=64):
         hit = check_up_to(order.order)
         if hit is not None:
             return hit
-        return "certified_never"
+        return SearchResult(
+            status="certified_never", reason=FINITE_ORDER_REASON.format(order.order)
+        )
     if order is not None and order.kind == "certified_infinite":
         hit = check_up_to(1)
         if hit is not None:
@@ -443,29 +458,40 @@ def _reference_alternating_shift_search(mu1, mu2, bound=64):
             or matrix_order(t @ mu2.inverse()).kind == "finite"
             for t in targets
         ):
-            return "certified_never"
+            return SearchResult(status="certified_never", reason=INFINITE_ORDER_REASON)
     hit = check_up_to(bound)
     if hit is not None:
         return hit
     return SearchResult(status="not_found", depth_searched=2 * bound + 1)
 
 
-def _same_outcome(result, reference):
-    if reference == "certified_never":
-        return result.status == "certified_never"
-    return result == reference
-
-
 _entries_2x2 = st.lists(
     st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=2, max_size=2
 ).map(RationalMatrix)
 
+_rational_2x2 = st.lists(
+    st.lists(st.fractions(-3, 3, max_denominator=3), min_size=2, max_size=2),
+    min_size=2, max_size=2,
+).map(RationalMatrix)
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(_entries_2x2, _involution(2)), st.one_of(_entries_2x2, _involution(2)))
-def test_alternating_matches_reference_target_set(mu1, mu2):
-    result = alternating_shift_search(mu1, mu2, bound=8)
-    assert _same_outcome(result, _reference_alternating_shift_search(mu1, mu2, 8))
+# words in elementary and signed permutation matrices: det +-1, so G has an
+# exact order and both certificates come into play
+_ELEMENTARY_2X2 = [
+    RationalMatrix(rows)
+    for rows in ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, -1], [0, 1]],
+                 [[0, 1], [1, 0]], [[-1, 0], [0, 1]], [[0, -1], [1, 0]])
+]
+_unimodular_2x2 = st.lists(st.sampled_from(_ELEMENTARY_2X2), min_size=1, max_size=4).map(
+    lambda ms: functools.reduce(operator.matmul, ms)
+)
+_any_2x2 = st.one_of(_entries_2x2, _rational_2x2, _unimodular_2x2, _involution(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_2x2, _any_2x2, st.integers(0, 8))
+def test_alternating_matches_reference_target_set(mu1, mu2, bound):
+    result = alternating_shift_search(mu1, mu2, bound)
+    assert result == _reference_alternating_shift_search(mu1, mu2, bound)
 
 
 def test_alternating_matches_reference_on_kronecker_rays():
@@ -473,7 +499,54 @@ def test_alternating_matches_reference_on_kronecker_rays():
     for m in range(0, 9):
         mu1 = RationalMatrix([[-1, 0], [m, 1]])
         result = alternating_shift_search(mu1, mu2)
-        assert _same_outcome(result, _reference_alternating_shift_search(mu1, mu2))
+        assert result == _reference_alternating_shift_search(mu1, mu2)
+
+
+_HYPERBOLIC = RationalMatrix([[2, 1], [1, 1]])
+_E2 = RationalMatrix.identity(2)
+
+
+def _kronecker_pair(m):
+    return RationalMatrix([[-1, 0], [m, 1]]), RationalMatrix([[1, 1], [0, -1]])
+
+
+# (mu1, mu2, bound, status, word length or depth_searched, reason)
+ALTERNATING_TABLE = {
+    "reached-m1": (*_kronecker_pair(1), 64, "reached", 3, ""),
+    "reached-m3-bound-0": (*_kronecker_pair(3), 0, "reached", 6, ""),
+    "reached-mu2-is-a-target": (_HYPERBOLIC, -_E2, 0, "reached", 1, ""),
+    # G = -mu2^{-1} is its own residual for T = -E, so no miss is certified:
+    # the limit stays at least 1 and finds G mu2 = -E even with bound 0
+    "reached-past-an-uncertified-residual": (
+        -(_HYPERBOLIC.inverse() @ _HYPERBOLIC.inverse()), _HYPERBOLIC, 0, "reached", 3, ""),
+    "finite-order-3": (RationalMatrix([[0, -1], [1, -1]]), _E2, 64, "certified_never",
+                       None, FINITE_ORDER_REASON.format(3)),
+    "finite-order-1-rational": (RationalMatrix([[Fraction(1, 2), 0], [0, 1]]),
+                                RationalMatrix([[2, 0], [0, 1]]), 0, "certified_never",
+                                None, FINITE_ORDER_REASON.format(1)),
+    "infinite-order-m4": (*_kronecker_pair(4), 64, "certified_never", None,
+                          INFINITE_ORDER_REASON),
+    "infinite-order-m5-bound-0": (*_kronecker_pair(5), 0, "certified_never", None,
+                                  INFINITE_ORDER_REASON),
+    # the residuals -mu2^{-1} and [[0, -1], [-1, 0]] mu2^{-1} are hyperbolic
+    "not-found-hyperbolic-residual": (_E2, _HYPERBOLIC, 3, "not_found", 7, ""),
+    "not-found-det-2": (RationalMatrix([[2, 0], [0, 1]]), _E2, 5, "not_found", 11, ""),
+    "not-found-rational-det": (RationalMatrix([[Fraction(1, 3), 1], [0, 1]]), _HYPERBOLIC, 2,
+                               "not_found", 5, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALTERNATING_TABLE))
+def test_alternating_outcome_table(case):
+    mu1, mu2, bound, status, length, reason = ALTERNATING_TABLE[case]
+    result = alternating_shift_search(mu1, mu2, bound)
+    assert result == _reference_alternating_shift_search(mu1, mu2, bound)
+    assert (result.status, result.reason) == (status, reason)
+    if status == "reached":
+        assert len(result.word) == result.depth_searched == length
+        assert is_negated_permutation(result.target)
+    elif status == "not_found":
+        assert result.depth_searched == length
 
 
 def test_searches_build_no_target_set(monkeypatch):
