@@ -250,6 +250,8 @@ def alternating_shift_search(
       it is ``bound``, at least 1;
     - det G != +-1: ``bound``.
     """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     for m in (mu1, mu2):
         if (m.nrows, m.ncols) != (2, 2):
             raise ValueError("alternating search is implemented for 2x2 matrices")

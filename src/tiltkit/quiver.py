@@ -1,8 +1,11 @@
 """Quivers with monomial zero relations.
 
-Provides path-counted Cartan matrices (via a forbidden-factor automaton),
-gentleness validation, the one-cycle clock condition, and the one-cycle
-normal forms used to classify derived-discrete gentle algebras.
+A quiver indexes its arrows once, at construction (by id, and out of and
+into each vertex), and a presentation keeps its set of relations; every
+routine here reads those.  Provides Cartan matrices counted by one
+depth-first walk over a forbidden-factor automaton, gentleness validation,
+the one-cycle clock condition, and the one-cycle normal forms used to
+classify derived-discrete gentle algebras.
 """
 
 from __future__ import annotations
@@ -35,25 +38,31 @@ class Quiver:
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
-        seen = set()
+        # the arrow index: by id, and out of and into each vertex in arrow order
+        by_id: dict[str, Arrow] = {}
+        out: dict[int, list[Arrow]] = {}
+        into: dict[int, list[Arrow]] = {}
         for a in self.arrows:
-            if a.id in seen:
+            if a.id in by_id:
                 raise ValueError(f"duplicate arrow id {a.id!r}")
-            seen.add(a.id)
+            by_id[a.id] = a
             if not (1 <= a.source <= self.vertices and 1 <= a.target <= self.vertices):
                 raise ValueError(f"arrow {a.id!r} endpoints out of range")
+            out.setdefault(a.source, []).append(a)
+            into.setdefault(a.target, []).append(a)
+        for name, value in (("_by_id", by_id),
+                            ("_out", {v: tuple(arrows) for v, arrows in out.items()}),
+                            ("_in", {v: tuple(arrows) for v, arrows in into.items()})):
+            object.__setattr__(self, name, value)
 
     def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
+        return self._by_id[arrow_id]
 
-    def arrows_out(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == v]
+    def arrows_out(self, v: int) -> tuple[Arrow, ...]:
+        return self._out.get(v, ())
 
-    def arrows_in(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == v]
+    def arrows_in(self, v: int) -> tuple[Arrow, ...]:
+        return self._in.get(v, ())
 
 
 @dataclass(frozen=True)
@@ -75,81 +84,15 @@ class MonomialPresentation:
             if rel in seen:
                 raise ValueError(f"duplicate relation {rel}")
             seen.add(rel)
-            for first, second in zip(rel, rel[1:]):
-                a, b = self.quiver.arrow(first), self.quiver.arrow(second)
-                if a.target != b.source:
-                    raise ValueError(f"relation {rel} is not composable")
-
-
-def _automaton(pres: MonomialPresentation):
-    """Deterministic suffix automaton over nonzero paths.
-
-    A state is (current vertex, longest path suffix that is a proper prefix
-    of some relation).  Extending by an arrow is dead exactly when some
-    suffix of the extended word is a relation.
-    """
-    relations = set(pres.zero_relations)
-    prefixes = {()} | {
-        rel[:k] for rel in relations for k in range(1, len(rel))
-    }
-
-    def step(state, arrow: Arrow):
-        vertex, suffix = state
-        if arrow.source != vertex:
-            raise AssertionError("arrow does not start at the current vertex")
-        word = suffix + (arrow.id,)
-        for k in range(len(word)):
-            if word[k:] in relations:
-                return None
-            # longest suffix of word that is a proper prefix of a relation
-        for k in range(len(word) + 1):
-            if word[k:] in prefixes:
-                return (arrow.target, word[k:])
-        raise AssertionError("empty suffix is always a prefix")
-
-    return step
-
-
-def _reachable_states(pres: MonomialPresentation) -> dict:
-    """Transitions (arrow id, next state) of every live automaton state."""
-    step = _automaton(pres)
-    q = pres.quiver
-    edges: dict[tuple, list[tuple[str, tuple]]] = {
-        (v, ()): [] for v in range(1, q.vertices + 1)
-    }
-    stack = list(edges)
-    while stack:
-        state = stack.pop()
-        for arrow in q.arrows_out(state[0]):
-            nxt = step(state, arrow)
-            if nxt is None:
-                continue
-            edges[state].append((arrow.id, nxt))
-            if nxt not in edges:
-                edges[nxt] = []
-                stack.append(nxt)
-    return edges
-
-
-def _topological_order(edges) -> list:
-    """Live states in topological order (Kahn's algorithm), iteratively.
-
-    Every state is reachable from a trivial path, so a state left over on a
-    directed cycle witnesses infinitely many nonzero paths.
-    """
-    indegree = dict.fromkeys(edges, 0)
-    for out in edges.values():
-        for _, t in out:
-            indegree[t] += 1
-    order = [s for s, d in indegree.items() if d == 0]
-    for s in order:  # the list grows while it is scanned
-        for _, t in edges[s]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                order.append(t)
-    if len(order) != len(edges):
-        raise InfiniteDimensionalError("a nonzero cyclic path survives the relations")
-    return order
+            try:
+                arrows = [self.quiver.arrow(x) for x in rel]
+            except KeyError as exc:
+                raise ValueError(
+                    f"relation {rel} names an unknown arrow {exc.args[0]!r}"
+                ) from None
+            if any(a.target != b.source for a, b in zip(arrows, arrows[1:])):
+                raise ValueError(f"relation {rel} is not composable")
+        object.__setattr__(self, "_relations", seen)
 
 
 def cartan_from_monomial(pres: MonomialPresentation) -> RationalMatrix:
@@ -157,21 +100,51 @@ def cartan_from_monomial(pres: MonomialPresentation) -> RationalMatrix:
 
     Column j is the dimension vector of the projective at vertex j.
     Raises InfiniteDimensionalError when the algebra is infinite dimensional.
+
+    The paths are counted by one iterative depth-first walk over the live
+    states of a suffix automaton.  A state is (current vertex, longest path
+    suffix that is a proper prefix of some relation); extending by an arrow
+    is dead exactly when some suffix of the extended word is a relation.
+    A state's counts (its nonzero paths, by end vertex) are summed in
+    post-order.  Every state is reachable from a trivial path, so reaching a
+    state that is still open closes a cycle of live states, which witnesses
+    infinitely many nonzero paths.
     """
-    edges = _reachable_states(pres)
-    n = pres.quiver.vertices
-    # number of nonzero paths from each state ending at each vertex, filled
-    # in reverse topological order so successors are always done first
-    counts: dict[tuple, list[int]] = {}
-    for state in reversed(_topological_order(edges)):
-        out = [0] * n
-        out[state[0] - 1] += 1
-        for _, nxt in edges[state]:
-            for i, c in enumerate(counts[nxt]):
-                out[i] += c
-        counts[state] = out
-    cols = [counts[(j, ())] for j in range(1, n + 1)]
-    return RationalMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    q, relations, n = pres.quiver, pres._relations, pres.quiver.vertices
+    prefixes = {()} | {rel[:k] for rel in relations for k in range(1, len(rel))}
+    counts: dict[tuple, list[int] | None] = {}  # None while a state is open
+    for root in ((v, ()) for v in range(1, n + 1)):
+        if root in counts:
+            continue
+        counts[root] = None
+        # (state, its arrows not yet tried, its live successors so far)
+        stack = [(root, iter(q.arrows_out(root[0])), [])]
+        while stack:
+            state, arrows, succ = stack[-1]
+            for arrow in arrows:
+                word = state[1] + (arrow.id,)
+                if any(word[k:] in relations for k in range(len(word))):
+                    continue
+                suffix = next(word[k:] for k in range(len(word) + 1) if word[k:] in prefixes)
+                nxt = (arrow.target, suffix)
+                succ.append(nxt)
+                if nxt not in counts:
+                    counts[nxt] = None
+                    stack.append((nxt, iter(q.arrows_out(arrow.target)), []))
+                    break
+                if counts[nxt] is None:
+                    raise InfiniteDimensionalError(
+                        "a nonzero cyclic path survives the relations"
+                    )
+            else:
+                stack.pop()
+                total = [0] * n
+                total[state[0] - 1] = 1
+                for s in succ:
+                    total = [x + y for x, y in zip(total, counts[s])]
+                counts[state] = total
+    # column j holds the counts of the trivial path at j
+    return RationalMatrix(zip(*(counts[(j, ())] for j in range(1, n + 1))))
 
 
 # -- gentle presentations ---------------------------------------------------
@@ -183,33 +156,26 @@ class GentlePresentation:
 
 
 def gentleness_violations(pres: MonomialPresentation) -> list[str]:
-    q = pres.quiver
+    q, relations = pres.quiver, pres._relations
     violations: list[str] = []
     for v in range(1, q.vertices + 1):
         if len(q.arrows_in(v)) > 2:
             violations.append(f"vertex {v} has more than two in-arrows")
         if len(q.arrows_out(v)) > 2:
             violations.append(f"vertex {v} has more than two out-arrows")
-    relations = set(pres.zero_relations)
-    for rel in relations:
+    for rel in pres.zero_relations:
         if len(rel) != 2:
             violations.append(f"relation {rel} has length != 2")
-    pairs = {rel for rel in relations if len(rel) == 2}
     for b in q.arrows:
-        followers = [c for c in q.arrows_out(b.target)]
-        rel_next = [c for c in followers if (b.id, c.id) in pairs]
-        free_next = [c for c in followers if (b.id, c.id) not in pairs]
-        if len(rel_next) > 1:
-            violations.append(f"arrow {b.id} has two relation successors")
-        if len(free_next) > 1:
-            violations.append(f"arrow {b.id} has two nonzero successors")
-        preceders = [a for a in q.arrows_in(b.source)]
-        rel_prev = [a for a in preceders if (a.id, b.id) in pairs]
-        free_prev = [a for a in preceders if (a.id, b.id) not in pairs]
-        if len(rel_prev) > 1:
-            violations.append(f"arrow {b.id} has two relation predecessors")
-        if len(free_prev) > 1:
-            violations.append(f"arrow {b.id} has two nonzero predecessors")
+        for side, pairs in (
+            ("successors", [(b.id, c.id) for c in q.arrows_out(b.target)]),
+            ("predecessors", [(a.id, b.id) for a in q.arrows_in(b.source)]),
+        ):
+            killed = sum(pair in relations for pair in pairs)
+            if killed > 1:
+                violations.append(f"arrow {b.id} has two relation {side}")
+            if len(pairs) - killed > 1:
+                violations.append(f"arrow {b.id} has two nonzero {side}")
     return violations
 
 
@@ -232,9 +198,10 @@ MULTI_CYCLE = "multi_cycle"
 def clock_condition(g: GentlePresentation) -> str:
     """Cycle shape of a gentle presentation.
 
-    For a unique undirected cycle, relations lying on the cycle are counted
-    by the direction of their composition along a fixed traversal; equal
-    counts mean the clock condition holds.
+    For a unique undirected cycle, one closed walk along it records whether
+    it passes each cycle arrow forwards.  A relation xy with both arrows on
+    the cycle is clockwise when the walk passes x forwards (and then y), and
+    counterclockwise otherwise; equal counts mean the clock condition holds.
     """
     q = g.presentation.quiver
     pairs = [(a.source, a.target) for a in q.arrows]
@@ -244,69 +211,39 @@ def clock_condition(g: GentlePresentation) -> str:
     if betti > 1:
         return MULTI_CYCLE
 
-    cycle_arrows = sorted((q.arrows[k] for k in _cycle_core(pairs)), key=lambda a: a.id)
-    # order the cycle as a closed walk
-    first = cycle_arrows[0]
-    walk = [(first, True)]  # (arrow, traversed source->target)
-    used = {first.id}
-    current = first.target
-    while len(walk) < len(cycle_arrows):
-        for a in cycle_arrows:
-            if a.id in used:
-                continue
-            if a.source == current:
-                walk.append((a, True))
-                used.add(a.id)
-                current = a.target
-                break
-            if a.target == current:
-                walk.append((a, False))
-                used.add(a.id)
-                current = a.source
-                break
-        else:
+    core = sorted((q.arrows[k] for k in _cycle_core(pairs)), key=lambda a: a.id)
+    forward = {core[0].id: True}  # arrow id -> passed source->target
+    current = core[0].target
+    while len(forward) < len(core):
+        a = next((a for a in core if a.id not in forward and current in (a.source, a.target)),
+                 None)
+        if a is None:
             raise AssertionError("betti-one core is a single closed walk")
+        forward[a.id] = a.source == current
+        current = a.target if forward[a.id] else a.source
 
-    relations = {rel for rel in g.presentation.zero_relations}
-    clockwise = counter = 0
-    k = len(walk)
-    for idx in range(k):
-        (a, fwd_a) = walk[idx]
-        (b, fwd_b) = walk[(idx + 1) % k]
-        if k == 1:
-            # loop: the only composition is the loop with itself
-            if (a.id, a.id) in relations:
-                clockwise += 1
-            continue
-        if fwd_a and fwd_b and (a.id, b.id) in relations:
-            clockwise += 1
-        if not fwd_a and not fwd_b and (b.id, a.id) in relations:
-            counter += 1
-    return ONE_CYCLE_CLOCK if clockwise == counter else ONE_CYCLE_NONCLOCK
+    clockwise = [
+        forward[rel[0]]
+        for rel in g.presentation._relations
+        if len(rel) == 2 and rel[0] in forward and rel[1] in forward
+    ]
+    # as many clockwise (True) as counterclockwise (False) relations
+    return ONE_CYCLE_CLOCK if 2 * sum(clockwise) == len(clockwise) else ONE_CYCLE_NONCLOCK
 
 
 def count_oriented_3cycles_with_full_relations(g: GentlePresentation) -> int:
-    """Oriented 3-cycles all of whose consecutive compositions vanish."""
-    q = g.presentation.quiver
-    relations = set(g.presentation.zero_relations)
-    found = set()
-    for a in q.arrows:
-        for b in q.arrows_out(a.target):
-            for c in q.arrows_out(b.target):
-                if c.target != a.source:
-                    continue
-                if (
-                    (a.id, b.id) in relations
-                    and (b.id, c.id) in relations
-                    and (c.id, a.id) in relations
-                ):
-                    key = min(
-                        (a.id, b.id, c.id),
-                        (b.id, c.id, a.id),
-                        (c.id, a.id, b.id),
-                    )
-                    found.add(key)
-    return len(found)
+    """Oriented 3-cycles through three distinct vertices all of whose
+    consecutive compositions vanish."""
+    q, relations = g.presentation.quiver, g.presentation._relations
+    # each such cycle is found once from each of its three arrows
+    return sum(
+        c.target == a.source
+        and len({a.source, b.source, c.source}) == 3
+        and {(a.id, b.id), (b.id, c.id), (c.id, a.id)} <= relations
+        for a in q.arrows
+        for b in q.arrows_out(a.target)
+        for c in q.arrows_out(b.target)
+    ) // 3
 
 
 def bgs_normal_form(n: int, r: int, m: int) -> MonomialPresentation:

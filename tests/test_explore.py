@@ -130,6 +130,13 @@ def test_alternating_kronecker_rays_never_reach_the_bounded_loop():
         assert r.status == ("reached" if m <= 3 else "certified_never"), m
 
 
+def test_alternating_rejects_a_negative_bound():
+    mu2 = RationalMatrix([[1, 1], [0, -1]])
+    for bound in (-1, -3):
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            alternating_shift_search(RationalMatrix([[2, 0], [0, 1]]), mu2, bound=bound)
+
+
 def test_alternating_requires_2x2():
     with pytest.raises(ValueError):
         alternating_shift_search(

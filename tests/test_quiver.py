@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import sys
@@ -63,6 +64,35 @@ def test_quiver_validation():
         Quiver(2, (Arrow("a", 1, 2), Arrow("a", 2, 1)))
 
 
+def test_quiver_indexes_arrows_in_arrow_order():
+    arrows = (Arrow("b", 1, 2), Arrow("a", 1, 2), Arrow("l", 2, 2), Arrow("c", 2, 1))
+    q = Quiver(3, arrows)
+    assert q.arrow("l") is arrows[2]
+    with pytest.raises(KeyError):
+        q.arrow("z")
+    for v in (0, 1, 2, 3, 4):
+        assert list(q.arrows_out(v)) == [a for a in arrows if a.source == v]
+        assert list(q.arrows_in(v)) == [a for a in arrows if a.target == v]
+
+
+def test_quiver_equality_and_hash_ignore_the_index():
+    arrows = (Arrow("a", 1, 2), Arrow("b", 2, 1))
+    q, same = Quiver(2, arrows), Quiver(2, tuple(arrows))
+    assert q == same and hash(q) == hash(same)
+    assert q != Quiver(2, arrows[:1]) and q != Quiver(3, arrows)
+    assert [f.name for f in dataclasses.fields(Quiver)] == ["vertices", "arrows"]
+    assert repr(q) == (
+        "Quiver(vertices=2, arrows=(Arrow(id='a', source=1, target=2), "
+        "Arrow(id='b', source=2, target=1)))"
+    )
+    pres = MonomialPresentation(q, (("a", "b"),))
+    assert pres == MonomialPresentation(same, (("a", "b"),))
+    assert hash(pres) == hash(MonomialPresentation(same, (("a", "b"),)))
+    assert [f.name for f in dataclasses.fields(MonomialPresentation)] == [
+        "quiver", "zero_relations",
+    ]
+
+
 def test_presentation_validation():
     q = Quiver(2, (Arrow("a", 1, 2), Arrow("b", 2, 1)))
     with pytest.raises(ValueError):
@@ -70,6 +100,16 @@ def test_presentation_validation():
     with pytest.raises(ValueError):
         MonomialPresentation(q, (("a", "a"),))  # not composable
     MonomialPresentation(q, (("a", "b"),))
+
+
+def test_relation_naming_an_unknown_arrow_is_a_value_error():
+    with pytest.raises(ValueError) as exc:
+        MonomialPresentation(Quiver(1, ()), (("a", "b"),))
+    assert str(exc.value) == "relation ('a', 'b') names an unknown arrow 'a'"
+    q = Quiver(2, (Arrow("a", 1, 2),))
+    with pytest.raises(ValueError) as exc:
+        MonomialPresentation(q, (("a", "b"),))
+    assert str(exc.value) == "relation ('a', 'b') names an unknown arrow 'b'"
 
 
 def test_infinite_dimensional_detection():
@@ -95,6 +135,17 @@ def test_cartan_long_linear_quiver_needs_no_recursion():
         for i, row in enumerate(c.entries)
         for j, x in enumerate(row)
     )
+
+
+def test_cartan_long_oriented_cycle_raises_without_recursion():
+    # 1 -> 2 -> ... -> n -> 1 without relations: every power of the cycle survives
+    n = 1500
+    arrows = tuple(Arrow(f"a{i}", i, i % n + 1) for i in range(1, n + 1))
+    limit = sys.getrecursionlimit()
+    with pytest.raises(InfiniteDimensionalError) as exc:
+        cartan_from_monomial(MonomialPresentation(Quiver(n, arrows), ()))
+    assert str(exc.value) == "a nonzero cyclic path survives the relations"
+    assert sys.getrecursionlimit() == limit
 
 
 def test_cartan_four_vertex_example():
@@ -223,6 +274,16 @@ def test_count_oriented_3cycles():
         Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3))), (("a", "b"),)
     )
     assert count_oriented_3cycles_with_full_relations(validate_gentle(acyclic)) == 0
+
+    # k[x]/(x^2): the walk (x, x, x) closes up but passes one vertex only
+    loop = MonomialPresentation(Quiver(1, (Arrow("x", 1, 1),)), (("x", "x"),))
+    assert count_oriented_3cycles_with_full_relations(validate_gentle(loop)) == 0
+    # a loop and a 2-cycle with every composition killed: no 3-cycle either
+    arrows = (Arrow("x", 1, 1), Arrow("a", 1, 2), Arrow("b", 2, 1))
+    mixed = MonomialPresentation(
+        Quiver(2, arrows), (("x", "x"), ("x", "a"), ("a", "b"), ("b", "x"), ("b", "a"))
+    )
+    assert count_oriented_3cycles_with_full_relations(GentlePresentation(mixed)) == 0
 
 
 def test_count_two_joined_triangles():
@@ -403,3 +464,119 @@ def test_clock_condition_matches_reference():
         verdicts.add(_ref_clock_condition(g))
         assert clock_condition(g) == _ref_clock_condition(g)
     assert verdicts == {TREE, ONE_CYCLE_CLOCK, ONE_CYCLE_NONCLOCK, MULTI_CYCLE}
+
+
+# -- reference: the path count as automaton, state graph and Kahn's order -----
+# Copied from the earlier implementation and compared with the one
+# depth-first walk that sums the counts in post-order.
+
+
+def _ref_automaton(pres: MonomialPresentation):
+    relations = set(pres.zero_relations)
+    prefixes = {()} | {
+        rel[:k] for rel in relations for k in range(1, len(rel))
+    }
+
+    def step(state, arrow: Arrow):
+        vertex, suffix = state
+        if arrow.source != vertex:
+            raise AssertionError("arrow does not start at the current vertex")
+        word = suffix + (arrow.id,)
+        for k in range(len(word)):
+            if word[k:] in relations:
+                return None
+        for k in range(len(word) + 1):
+            if word[k:] in prefixes:
+                return (arrow.target, word[k:])
+        raise AssertionError("empty suffix is always a prefix")
+
+    return step
+
+
+def _ref_reachable_states(pres: MonomialPresentation) -> dict:
+    step = _ref_automaton(pres)
+    q = pres.quiver
+    edges = {(v, ()): [] for v in range(1, q.vertices + 1)}
+    stack = list(edges)
+    while stack:
+        state = stack.pop()
+        for arrow in (a for a in q.arrows if a.source == state[0]):
+            nxt = step(state, arrow)
+            if nxt is None:
+                continue
+            edges[state].append((arrow.id, nxt))
+            if nxt not in edges:
+                edges[nxt] = []
+                stack.append(nxt)
+    return edges
+
+
+def _ref_topological_order(edges) -> list:
+    indegree = dict.fromkeys(edges, 0)
+    for out in edges.values():
+        for _, t in out:
+            indegree[t] += 1
+    order = [s for s, d in indegree.items() if d == 0]
+    for s in order:
+        for _, t in edges[s]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                order.append(t)
+    if len(order) != len(edges):
+        raise InfiniteDimensionalError("a nonzero cyclic path survives the relations")
+    return order
+
+
+def _ref_cartan_from_monomial(pres: MonomialPresentation) -> RationalMatrix:
+    edges = _ref_reachable_states(pres)
+    n = pres.quiver.vertices
+    counts = {}
+    for state in reversed(_ref_topological_order(edges)):
+        out = [0] * n
+        out[state[0] - 1] += 1
+        for _, nxt in edges[state]:
+            for i, c in enumerate(counts[nxt]):
+                out[i] += c
+        counts[state] = out
+    cols = [counts[(j, ())] for j in range(1, n + 1)]
+    return RationalMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def _cyclic_presentations() -> list[MonomialPresentation]:
+    """Seeded quivers around an oriented cycle through every vertex, with
+    extra arrows (loops among them) and relations read off random walks."""
+    rng = random.Random(11)
+    out = []
+    for _ in range(300):
+        v = rng.randint(1, 5)
+        ends = [(i, i % v + 1) for i in range(1, v + 1)]
+        ends += [(rng.randint(1, v), rng.randint(1, v)) for _ in range(rng.randint(0, 3))]
+        arrows = tuple(Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(ends))
+        q = Quiver(v, arrows)
+        relations = set()
+        for _ in range(rng.randint(0, 8)):
+            path = [rng.choice(arrows)]
+            for _ in range(rng.randint(1, 3)):
+                path.append(rng.choice(q.arrows_out(path[-1].target)))
+            relations.add(tuple(a.id for a in path))
+        out.append(MonomialPresentation(q, tuple(sorted(relations))))
+    return out
+
+
+def _cartan_or_infinite(count, pres):
+    try:
+        return count(pres)
+    except InfiniteDimensionalError as exc:
+        return str(exc)
+
+
+def test_cartan_matches_reference():
+    for pres in _presentations_in_this_file():
+        got = _cartan_or_infinite(cartan_from_monomial, pres)
+        assert got == _cartan_or_infinite(_ref_cartan_from_monomial, pres)
+    finite = 0
+    for pres in _cyclic_presentations():
+        got = _cartan_or_infinite(cartan_from_monomial, pres)
+        assert got == _cartan_or_infinite(_ref_cartan_from_monomial, pres)
+        finite += isinstance(got, RationalMatrix)
+    assert 50 < finite < 250  # both verdicts are exercised on directed cycles

@@ -172,6 +172,10 @@ def test_presentation_malformed():
                 "zero_relations": [["a"]],
             }
         )
+    # a relation naming an arrow the quiver lacks raised a bare KeyError
+    with pytest.raises(MalformedInputError) as exc:
+        presentation_from_json({"vertices": 1, "arrows": [], "zero_relations": [["a", "b"]]})
+    assert str(exc.value) == "relation ('a', 'b') names an unknown arrow 'a'"
     # strings where lists belong, which were read one character at a time;
     # booleans and non-integral numbers, which int() read as 1 or truncated
     for bad in (
