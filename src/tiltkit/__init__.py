@@ -42,6 +42,7 @@ from .families import (
     AlgebraFamilyEntry,
     FAMILY_NAMES,
     FAMILY_PARAMETERS,
+    ParameterBoundError,
     UnknownFamilyError,
     UnknownParameterError,
     family,

@@ -11,9 +11,9 @@ rationals puts all its roots on the unit circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .linalg import (
     POSITIVE_DEFINITE,
     SingularCartanError,
@@ -32,8 +32,7 @@ GENERALIZED_CYCLOTOMIC_NUMERIC = "generalized_cyclotomic_numeric"
 NOT_CYCLOTOMIC = "no"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     regular: bool
     symmetrized_definiteness: str
     euler_form_positive: bool | None
@@ -137,8 +136,7 @@ def coxeter_trace_is_minus_one(c: RationalMatrix) -> bool:
     return coxeter_matrix(c).trace() == -1
 
 
-@dataclass(frozen=True)
-class NakayamaPermutation:
+class NakayamaPermutation(Record):
     """Permutation of 1..n in cycle notation (fixed points included)."""
 
     cycles: tuple[tuple[int, ...], ...]

@@ -8,13 +8,14 @@ read off the underlying multigraph by two helpers on vertex pairs, which
 ``quiver`` shares.  This module implements the tilting-discreteness
 decision procedure, mutation g-matrices, Kauer moves, and the column-sum
 unreachability certificate for one-vertex and two-vertex bipartite graphs.
+Graphs, verdicts and certificates are plain immutable records.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .matrix import RationalMatrix
 
 
@@ -22,8 +23,7 @@ class LeafEdgeError(ValueError):
     """Mutation or Kauer move requested at a leaf edge."""
 
 
-@dataclass(frozen=True)
-class RibbonVertex:
+class RibbonVertex(Record):
     id: str
     multiplicity: int
     order: tuple[str, ...]  # cyclic order of incident half-edges
@@ -33,14 +33,12 @@ class RibbonVertex:
             raise ValueError(f"vertex {self.id}: multiplicity must be >= 1")
 
 
-@dataclass(frozen=True)
-class RibbonEdge:
+class RibbonEdge(Record):
     id: str
     halves: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class RibbonGraph:
+class RibbonGraph(Record):
     vertices: tuple[RibbonVertex, ...]
     edges: tuple[RibbonEdge, ...]
 
@@ -147,8 +145,7 @@ def _cycle_core(pairs) -> list[int]:
 # -- decision procedure -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphVerdict:
+class GraphVerdict(Record):
     betti: int
     bipartite: bool
     odd_cycle_unique: bool | None  # parity of the unique cycle when betti = 1
@@ -292,8 +289,7 @@ def kauer_move(g: RibbonGraph, edge_id: str) -> RibbonGraph:
 # -- unreachability certificate ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     applicable: bool
     graph_class: str | None = None
     statement: str | None = None

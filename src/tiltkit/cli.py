@@ -4,10 +4,11 @@ Deterministic JSON (sorted keys) or DOT on standard output.  Exit codes:
 0 success, 1 domain error (singular Cartan matrix where invertibility is
 required, leaf-edge mutation, unknown family, infinite-dimensional algebra),
 2 malformed input (also a usage error, a parameter the family does not
-take, and a count out of range: ``--depth`` or ``--radius`` below 0,
-``explore``'s ``--m``, ``--l`` or ``--t`` below 1).  Exits 1 and 2 print one
-JSON object ``{"error": {"kind", "message"}}`` on standard output.  ``-`` is
-standard input for any file argument; family parameter flags are the registry's.
+take or below its registry bound, and a count out of range: ``--depth`` or
+``--radius`` below 0, ``explore``'s ``--m``, ``--l`` or ``--t`` below 1).
+Exits 1 and 2 print one JSON object ``{"error": {"kind", "message"}}`` on
+standard output.  ``-`` is standard input for any file argument; family
+parameter flags are the registry's.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from .explore import (
     generate,
     reach_shift,
 )
-from .families import FAMILY_PARAMETERS, UnknownParameterError, family, list_families
+from .families import (
+    FAMILY_PARAMETERS,
+    ParameterBoundError,
+    UnknownParameterError,
+    family,
+    list_families,
+)
 from .lattice import bounded_box, solutions
 from .linalg import trivial_extension_cartan
 from .matrix import RationalMatrix
@@ -366,7 +373,7 @@ def run(argv: list[str]) -> int:
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         return args.func(args)
-    except (MalformedInputError, UnknownParameterError) as exc:
+    except (MalformedInputError, ParameterBoundError, UnknownParameterError) as exc:
         _emit({"error": {"kind": "malformed_input", "message": str(exc)}})
         return 2
     # every domain error of the package (DomainError, SingularCartanError,

@@ -10,24 +10,22 @@ alternating mutation rays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
+from ._record import Record
 from .linalg import _integer_rows, matrix_order
 from .matrix import RationalMatrix, _frac, _integers
 
 
-@dataclass(frozen=True)
-class FrontierNode:
+class FrontierNode(Record):
     matrix: RationalMatrix
     word: tuple[str, ...]  # shortest word, lexicographic tie-break
     depth: int
 
 
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(Record):
     nodes: tuple[FrontierNode, ...]
     depth: int
     edges: tuple[tuple[int, str, int], ...]  # (from node, generator, to node)
@@ -95,8 +93,7 @@ def generate(generators: dict[str, RationalMatrix], depth: int) -> Frontier:
     return Frontier(tuple(nodes), depth, tuple(edges))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     # reach_shift: "found" | "not_found_within_depth" | "certified_unreachable";
     # alternating_shift_search: "reached" | "certified_never" | "not_found"
     status: str
@@ -303,8 +300,7 @@ def _form_value(rows: list[list[int]], scale: int, v: Sequence) -> Fraction:
     return Fraction(sum(x * sum(map(mul, row, u)) for x, row in zip(u, rows)), scale * b * b)
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
+class DeltaSequence(Record):
     vectors: tuple[tuple[int, int], ...]
     values: tuple[Fraction, ...]
     constant: bool

@@ -5,14 +5,15 @@ lower bounds and one build function.  Monomial families build a
 presentation and their Cartan matrix is recomputed from it; families with
 non-monomial relations (commutativity or sum relations) build hand-derived
 Cartan matrices instead, each cross-checked by a brute-force
-monomial-basis oracle in the test suite.
+monomial-basis oracle in the test suite.  Entries are plain immutable
+records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
+from ._record import Record
 from .linalg import trivial_extension_cartan
 from .matrix import RationalMatrix
 from .quiver import (
@@ -32,8 +33,11 @@ class UnknownParameterError(ValueError):
     """A parameter the named family does not take."""
 
 
-@dataclass(frozen=True)
-class AlgebraFamilyEntry:
+class ParameterBoundError(ValueError):
+    """A parameter below the least value the named family takes."""
+
+
+class AlgebraFamilyEntry(Record):
     name: str
     params: dict
     presentation: MonomialPresentation | None
@@ -134,8 +138,7 @@ def _trivial_extension(presentation):
     return build
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(Record):
     """One registry row.  ``build(**params)`` returns the monomial
     presentation, or the Cartan matrix of a family with non-monomial
     relations; ``note`` is a format string over the parameters."""
@@ -214,7 +217,7 @@ _FAMILIES = {
         "definite symmetrized Cartan matrix but tau-tilting infinite",
     ),
     "bgs": _Family(
-        {"n": 3, "r": 1, "m": 0}, {}, bgs_normal_form,
+        {"n": 3, "r": 1, "m": 0}, {"n": 1, "r": 1, "m": 0}, bgs_normal_form,
         "one-cycle-with-tail gentle normal form with r consecutive "
         "zero relations on the cycle",
     ),
@@ -240,7 +243,7 @@ def family(name: str, **params) -> AlgebraFamilyEntry:
     params = {key: int(v) for key, v in {**spec.defaults, **params}.items()}
     for key, lo in spec.lower.items():
         if params[key] < lo:
-            raise ValueError(f"parameter {key} must be >= {lo}, got {params[key]}")
+            raise ParameterBoundError(f"parameter {key} must be >= {lo}, got {params[key]}")
     built = spec.build(**params)
     if isinstance(built, MonomialPresentation):
         presentation, cartan = built, cartan_from_monomial(built)

@@ -10,11 +10,11 @@ No float ever decides a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
+from ._record import Record
 from .matrix import RationalMatrix, SingularMatrixError, _integers, row_reduce
 from .poly import Polynomial, _radical, is_cyclotomic_product
 
@@ -150,8 +150,7 @@ def definiteness(s: RationalMatrix) -> str:
     return NEGATIVE_DEFINITE if zero == 0 else NEGATIVE_SEMIDEFINITE_SINGULAR
 
 
-@dataclass(frozen=True)
-class MatrixOrder:
+class MatrixOrder(Record):
     """Multiplicative order of a rational matrix with determinant +-1."""
 
     kind: str  # "finite" | "certified_infinite"

@@ -9,9 +9,9 @@ hands back.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Sequence
 
 
 class SingularMatrixError(ValueError):
@@ -19,6 +19,11 @@ class SingularMatrixError(ValueError):
 
 
 def _frac(x) -> Fraction:
+    # exact types first: isinstance(x, Fraction) runs ABCMeta's check
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):

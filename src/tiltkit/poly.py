@@ -7,10 +7,10 @@ trial division, the radical of ``linalg.is_diagonalizable`` and the Sturm count.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
 
 from .matrix import _integers
 

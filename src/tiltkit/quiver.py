@@ -5,13 +5,13 @@ into each vertex), and a presentation keeps its set of relations; every
 routine here reads those.  Provides Cartan matrices counted by one
 depth-first walk over a forbidden-factor automaton, gentleness validation,
 the one-cycle clock condition, and the one-cycle normal forms used to
-classify derived-discrete gentle algebras.
+classify derived-discrete gentle algebras.  Arrows, quivers and
+presentations are plain immutable records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .brauer import _cycle_core, _traverse
 from .matrix import RationalMatrix
 
@@ -20,15 +20,13 @@ class InfiniteDimensionalError(ValueError):
     """A nonzero cyclic path survives the relations."""
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     id: str
     source: int
     target: int
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """Finite quiver on vertices 1..n with labelled arrows.
 
     Parallel arrows carry distinct ids even when they share a drawing label.
@@ -65,8 +63,7 @@ class Quiver:
         return self._in.get(v, ())
 
 
-@dataclass(frozen=True)
-class MonomialPresentation:
+class MonomialPresentation(Record):
     """Quiver plus zero relations, each a composable arrow path of length >= 2.
 
     Relation paths are written left to right: ``("x", "y")`` kills the path
@@ -150,8 +147,7 @@ def cartan_from_monomial(pres: MonomialPresentation) -> RationalMatrix:
 # -- gentle presentations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GentlePresentation:
+class GentlePresentation(Record):
     presentation: MonomialPresentation
 
 

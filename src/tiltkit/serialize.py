@@ -11,9 +11,9 @@ on the half-edges.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
+from ._record import Record
 from .brauer import RibbonEdge, RibbonGraph, RibbonVertex
 from .explore import Frontier
 from .families import AlgebraFamilyEntry
@@ -83,7 +83,7 @@ def poly_to_json(p: Polynomial) -> list[str]:
 
 
 def to_json(x):
-    """The JSON value of a result: a dataclass becomes the object of its
+    """The JSON value of a result: a record becomes the object of its
     fields, a matrix its rows of rational strings (a top-level matrix takes
     :func:`matrix_to_json` instead), a polynomial :func:`poly_to_json`, a
     rational its string and a tuple a list; anything else stays as it is."""
@@ -95,8 +95,8 @@ def to_json(x):
         return str(x)
     if isinstance(x, tuple):
         return [to_json(v) for v in x]
-    if dataclasses.is_dataclass(x):
-        return {f.name: to_json(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, Record):
+        return {f: to_json(getattr(x, f)) for f in x._fields}
     return x
 
 

@@ -501,6 +501,23 @@ def test_count_below_its_bound_is_malformed_input(capsys, case):
     }
 
 
+# a parameter below its registry bound is malformed input; r > n is a domain
+# error, since the bound on r depends on n
+@pytest.mark.parametrize(
+    "params, code, error",
+    [
+        (["--n", "-3"], 2, ("malformed_input", "parameter n must be >= 1, got -3")),
+        (["--m", "-1"], 2, ("malformed_input", "parameter m must be >= 0, got -1")),
+        (["--r", "0"], 2, ("malformed_input", "parameter r must be >= 1, got 0")),
+        (["--n", "2", "--r", "3"], 1, ("domain", "need 1 <= r <= n")),
+    ],
+    ids=["n", "m", "r", "r-above-n"],
+)
+def test_bgs_parameter_bounds(capsys, params, code, error):
+    out = _run(capsys, ["analyze", "--family", "bgs", *params], expect_code=code)
+    assert json.loads(out)["error"] == dict(zip(("kind", "message"), error))
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -162,3 +162,26 @@ def test_cli_run_never_imports_numpy(tmp_path):
     report = json.loads("\n".join(lines[:-1]))
     assert report["cyclotomic_type"] == "generalized_cyclotomic_numeric"
     assert lines[-1] == "0 False"
+
+
+def _heavy_modules_after(imports: str) -> str:
+    """Which of dataclasses, inspect and typing a fresh interpreter holds after
+    importing tiltkit, every module of it and ``imports``; ``-S`` keeps
+    site-packages hooks from loading them first."""
+    modules = ", ".join(f"tiltkit.{p.stem}" for p in MODULES if p.stem != "__init__")
+    script = (f"import sys, tiltkit, {modules}\n{imports}\n"
+              "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    assert _heavy_modules_after("") == "[]"
+
+
+def test_import_guard_sees_what_it_forbids():
+    assert "'dataclasses'" in _heavy_modules_after("import dataclasses")
