@@ -3,8 +3,10 @@
 A subclass declares its fields as class annotations, in order, with optional
 defaults; the annotations are never evaluated and no code is generated.  A
 record is built from positional or keyword arguments, then checked by
-``__post_init__``; repr, equality (only within one class) and hash read the
-fields alone, and assignment is refused.
+``__post_init__``, which may also normalise a field and keep derived state
+(an index, a memo) beside the fields, both through ``vars(self)``.  Repr,
+equality (only within one class) and hash read the fields alone; assignment
+and deletion are refused.
 """
 
 

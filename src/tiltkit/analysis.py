@@ -35,14 +35,15 @@ NOT_CYCLOTOMIC = "no"
 class AnalysisReport(Record):
     regular: bool
     symmetrized_definiteness: str
-    euler_form_positive: bool | None
-    cyclotomic_type: str | None
-    cyclotomic_indices: tuple[int, ...] | None
-    has_eigenvalue_one: bool | None
-    diagonalizable: bool | None
-    coxeter_trace: Fraction | None
-    coxeter: RationalMatrix | None
-    coxeter_char_poly: Polynomial | None
+    # the Coxeter-derived fields, None for a singular C without a Coxeter matrix
+    euler_form_positive: bool | None = None
+    cyclotomic_type: str | None = None
+    cyclotomic_indices: tuple[int, ...] | None = None
+    has_eigenvalue_one: bool | None = None
+    diagonalizable: bool | None = None
+    coxeter_trace: Fraction | None = None
+    coxeter: RationalMatrix | None = None
+    coxeter_char_poly: Polynomial | None = None
 
 
 def classify_coxeter_poly(p: Polynomial) -> tuple[str, tuple[int, ...] | None]:
@@ -62,33 +63,23 @@ def analyze(
     """Full report for a square Cartan matrix.
 
     For a singular Cartan matrix the Coxeter-derived fields are omitted
-    unless an externally computed Coxeter matrix is supplied; that matrix is
-    used for reporting only and is never derived from C.
+    unless an externally computed Coxeter matrix of the same shape is
+    supplied; that matrix is used for reporting only and is never derived
+    from C.  A regular C has its own Coxeter matrix and takes none.
     """
     if not c.is_square:
         raise ValueError("analyze requires a square matrix")
+    if coxeter_override is not None and (
+            (coxeter_override.nrows, coxeter_override.ncols) != (c.nrows, c.ncols)):
+        raise ValueError("the Coxeter matrix and the Cartan matrix differ in shape")
     symmetrized = definiteness(trivial_extension_cartan(c))
     regular = c.det() != 0
-
-    phi = None
-    if regular:
-        phi = coxeter_matrix(c)
-    elif coxeter_override is not None:
-        phi = coxeter_override
-
+    if regular and coxeter_override is not None:
+        raise ValueError("a Coxeter matrix is supplied only for a singular Cartan "
+                         "matrix; this one is regular and determines its own")
+    phi = coxeter_matrix(c) if regular else coxeter_override
     if phi is None:
-        return AnalysisReport(
-            regular=False,
-            symmetrized_definiteness=symmetrized,
-            euler_form_positive=None,
-            cyclotomic_type=None,
-            cyclotomic_indices=None,
-            has_eigenvalue_one=None,
-            diagonalizable=None,
-            coxeter_trace=None,
-            coxeter=None,
-            coxeter_char_poly=None,
-        )
+        return AnalysisReport(False, symmetrized)
 
     p = char_poly(phi)
     ctype, indices = classify_coxeter_poly(p)
@@ -145,6 +136,8 @@ class NakayamaPermutation(Record):
         if any(len(cyc) == 0 for cyc in self.cycles):
             raise ValueError("a cycle is empty")
         points = [p for cyc in self.cycles for p in cyc]
+        if any(type(p) is not int for p in points):
+            raise TypeError("cycle points must be integers")
         if len(points) != len(set(points)):
             raise ValueError("cycles are not disjoint")
         if sorted(points) != list(range(1, len(points) + 1)):

@@ -67,10 +67,8 @@ class RibbonGraph(Record):
         pairs = [(vertex_of[a].id, vertex_of[b].id) for a, b in (e.halves for e in self.edges)]
         if _traverse([v.id for v in self.vertices], pairs)[0] != 1:
             raise ValueError("ribbon graph must be connected")
-        for name, value in (("_vertex_of", vertex_of), ("_next", nxt), ("_edge_of", edge_of),
-                            ("_partner", partner), ("_edge_by_id", edge_by_id),
-                            ("_pairs", pairs)):
-            object.__setattr__(self, name, value)
+        vars(self).update(_vertex_of=vertex_of, _next=nxt, _edge_of=edge_of,
+                          _partner=partner, _edge_by_id=edge_by_id, _pairs=pairs)
 
     # -- lookups -----------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 Deterministic JSON (sorted keys) or DOT on standard output.  Exit codes:
 0 success, 1 domain error (singular Cartan matrix where invertibility is
-required, leaf-edge mutation, unknown family, infinite-dimensional algebra),
-2 malformed input (also a usage error, a parameter the family does not
-take or below its registry bound, and a count out of range: ``--depth`` or
-``--radius`` below 0, ``explore``'s ``--m``, ``--l`` or ``--t`` below 1).
+required, a ``--coxeter`` matrix beside a regular one, leaf-edge mutation,
+unknown family, infinite-dimensional algebra), 2 malformed input (also a
+usage error, a parameter the family does not take or below its registry
+bound, a ``--coxeter`` matrix of another shape than C, and a count out of
+range: ``--depth`` or ``--radius`` below 0, ``explore``'s ``--m``, ``--l``
+or ``--t`` below 1).
 Exits 1 and 2 print one JSON object ``{"error": {"kind", "message"}}`` on
 standard output.  ``-`` is standard input for any file argument; family
 parameter flags are the registry's.
@@ -106,6 +108,9 @@ def _cmd_analyze(args) -> int:
     override = registry_coxeter
     if args.coxeter:
         override = matrix_from_json(_load_json(args.coxeter))
+        if (override.nrows, override.ncols) != (cartan.nrows, cartan.ncols):
+            raise MalformedInputError(f"--coxeter is {override.nrows}x{override.ncols}, "
+                                      f"the Cartan matrix {cartan.nrows}x{cartan.ncols}")
     report = analyze(cartan, coxeter_override=override)
     out = to_json(report)
     out["cartan"] = matrix_to_json(cartan)
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full Cartan/Coxeter report")
     p.add_argument("--cartan", help="matrix JSON file, or - for stdin")
-    p.add_argument("--coxeter", help="optional Coxeter matrix JSON (singular Cartan)")
+    p.add_argument("--coxeter", help="Coxeter matrix JSON of C's shape, for a singular C only")
     _add_family_flags(p)
     p.set_defaults(func=_cmd_analyze)
 

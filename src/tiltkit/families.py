@@ -240,7 +240,10 @@ def family(name: str, **params) -> AlgebraFamilyEntry:
             raise UnknownParameterError(
                 f"family {name!r} takes no parameter {key!r}"
             )
-    params = {key: int(v) for key, v in {**spec.defaults, **params}.items()}
+    params = {**spec.defaults, **params}
+    for key, v in params.items():
+        if type(v) is not int:  # int() would truncate 3.7 to 3
+            raise TypeError(f"parameter {key} must be an integer, got {v!r}")
     for key, lo in spec.lower.items():
         if params[key] < lo:
             raise ParameterBoundError(f"parameter {key} must be >= {lo}, got {params[key]}")

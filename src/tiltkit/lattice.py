@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .explore import _form_value, delta
 from .linalg import _integer_rows, ldl
-from .matrix import RationalMatrix
+from .matrix import RationalMatrix, _frac
 
 
 def _int_range(center: Fraction, radius2: Fraction) -> range:
@@ -56,7 +56,7 @@ def solutions(c: RationalMatrix, z) -> tuple[tuple[int, ...], ...]:
     d, lower, _ = ldl(c)
     if not all(x > 0 for x in d):
         raise ValueError("exact enumeration requires a positive definite form")
-    z = Fraction(z)
+    z = _frac(z)
     if z < 0:
         return ()
     n = c.nrows
@@ -98,7 +98,7 @@ def bounded_box(
         raise ValueError("bounded_box requires a symmetric matrix")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    z = Fraction(z)
+    z = _frac(z)
     rows, scale = _integer_rows(c)  # cleared once for every point
     out = [
         v

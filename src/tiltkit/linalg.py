@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._record import Record
-from .matrix import RationalMatrix, SingularMatrixError, _integers, row_reduce
+from .matrix import RationalMatrix, SingularMatrixError, _frac, _integers, row_reduce
 from .poly import Polynomial, _radical, is_cyclotomic_product
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -229,7 +229,7 @@ def euler_form(
     except SingularMatrixError:
         raise SingularCartanError("Euler form undefined: singular matrix") from None
     w = cinv_t.vec_mul(y)
-    return sum(Fraction(a) * b for a, b in zip(x, w))
+    return sum(_frac(a) * b for a, b in zip(x, w))
 
 
 def trivial_extension_cartan(c: RationalMatrix) -> RationalMatrix:

@@ -9,9 +9,11 @@ hands back.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm, prod
+
+from ._record import Record
 
 
 class SingularMatrixError(ValueError):
@@ -37,28 +39,24 @@ def _integers(xs: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in xs], scale
 
 
-class RationalMatrix:
-    """Immutable matrix over the rationals.
+class RationalMatrix(Record):
+    """Immutable matrix over the rationals, built from its rows.
 
     Hashable, so matrices can be deduplicated exactly during group searches.
-    Powers and inverse are memoised in private slots outside eq/hash/repr.
+    The shape and the memoised powers and inverse sit beside ``entries``,
+    outside eq/hash/repr.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_powers", "_inverse")
+    entries: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, rows: Iterable[Iterable]):
-        entries = tuple(tuple(_frac(x) for x in row) for row in rows)
+    def __post_init__(self):
+        entries = tuple(tuple(_frac(x) for x in row) for row in self.entries)
         if not entries or not entries[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(entries[0])
         if any(len(row) != width for row in entries):
             raise ValueError("all rows must have the same length")
-        object.__setattr__(self, "nrows", len(entries))
-        object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
+        vars(self).update(entries=entries, nrows=len(entries), ncols=width)
 
     # -- basics ------------------------------------------------------------
 
@@ -85,14 +83,6 @@ class RationalMatrix:
     @property
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix) and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         rows = "; ".join(
@@ -151,7 +141,7 @@ class RationalMatrix:
             seq = [RationalMatrix.identity(self.nrows), self]
             for _ in range(self.nrows - 1):
                 seq.append(self @ seq[-1])
-            object.__setattr__(self, "_powers", tuple(seq))
+            vars(self)["_powers"] = tuple(seq)
         return self._powers
 
     @property
@@ -190,7 +180,7 @@ class RationalMatrix:
         if len(pivots) < n:
             raise SingularMatrixError("matrix is singular (det = 0)")
         inv = RationalMatrix([[Fraction(x, p) for x in row[n:]] for row in rows])
-        object.__setattr__(self, "_inverse", inv)
+        vars(self)["_inverse"] = inv
         return inv
 
 

@@ -7,27 +7,25 @@ trial division, the radical of ``linalg.is_diagonalizable`` and the Sturm count.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .matrix import _integers
+from ._record import Record
+from .matrix import _frac, _integers
 
 
-class Polynomial:
-    """Immutable polynomial over the rationals, constant coefficient first."""
+class Polynomial(Record):
+    """Immutable polynomial over the rationals, constant coefficient first;
+    trailing zero coefficients are dropped."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Iterable):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [_frac(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        vars(self)["coeffs"] = tuple(cs)
 
     @property
     def is_zero(self) -> bool:
@@ -45,12 +43,6 @@ class Polynomial:
     @property
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -48,10 +48,9 @@ class Quiver(Record):
                 raise ValueError(f"arrow {a.id!r} endpoints out of range")
             out.setdefault(a.source, []).append(a)
             into.setdefault(a.target, []).append(a)
-        for name, value in (("_by_id", by_id),
-                            ("_out", {v: tuple(arrows) for v, arrows in out.items()}),
-                            ("_in", {v: tuple(arrows) for v, arrows in into.items()})):
-            object.__setattr__(self, name, value)
+        vars(self).update(_by_id=by_id,
+                          _out={v: tuple(arrows) for v, arrows in out.items()},
+                          _in={v: tuple(arrows) for v, arrows in into.items()})
 
     def arrow(self, arrow_id: str) -> Arrow:
         return self._by_id[arrow_id]
@@ -89,7 +88,7 @@ class MonomialPresentation(Record):
                 ) from None
             if any(a.target != b.source for a, b in zip(arrows, arrows[1:])):
                 raise ValueError(f"relation {rel} is not composable")
-        object.__setattr__(self, "_relations", seen)
+        vars(self)["_relations"] = seen
 
 
 def cartan_from_monomial(pres: MonomialPresentation) -> RationalMatrix:

@@ -37,6 +37,12 @@ def _integer(x, what: str) -> int:
     return x
 
 
+def _string(x, what: str) -> str:
+    # str() would turn null into "None" and a list into its repr
+    _expect(type(x) is str, f"{what} must be a string, got {x!r}")
+    return x
+
+
 # -- matrices -----------------------------------------------------------------
 
 
@@ -141,7 +147,8 @@ def presentation_from_json(data) -> MonomialPresentation:
             "each arrow needs 'id', 'from', 'to'",
         )
         arrows.append(
-            Arrow(str(a["id"]), _integer(a["from"], "'from'"), _integer(a["to"], "'to'"))
+            Arrow(_string(a["id"], "an arrow 'id'"), _integer(a["from"], "'from'"),
+                  _integer(a["to"], "'to'"))
         )
     relations = data.get("zero_relations", [])
     # a string would otherwise be read one character per arrow
@@ -149,7 +156,7 @@ def presentation_from_json(data) -> MonomialPresentation:
         isinstance(relations, list) and all(isinstance(rel, list) for rel in relations),
         "'zero_relations' must be a list of arrow-id lists",
     )
-    relations = tuple(tuple(str(x) for x in rel) for rel in relations)
+    relations = tuple(tuple(_string(x, "a relation entry") for x in rel) for rel in relations)
     try:
         return MonomialPresentation(Quiver(data["vertices"], tuple(arrows)), relations)
     except ValueError as exc:
@@ -188,9 +195,9 @@ def ribbon_from_json(data) -> RibbonGraph:
             )
             vertices.append(
                 RibbonVertex(
-                    str(v["id"]),
+                    _string(v["id"], "a vertex 'id'"),
                     _integer(v.get("mult", 1), "'mult'"),
-                    tuple(str(h) for h in v["order"]),
+                    tuple(_string(h, "a half-edge") for h in v["order"]),
                 )
             )
         edges = []
@@ -199,9 +206,9 @@ def ribbon_from_json(data) -> RibbonGraph:
                 isinstance(e, dict) and isinstance(e.get("halves"), list) and "id" in e,
                 "each edge needs 'id' and a 'halves' list",
             )
-            halves = [str(h) for h in e["halves"]]
+            halves = [_string(h, "a half-edge") for h in e["halves"]]
             _expect(len(halves) == 2, "each edge has exactly two halves")
-            edges.append(RibbonEdge(str(e["id"]), (halves[0], halves[1])))
+            edges.append(RibbonEdge(_string(e["id"], "an edge 'id'"), (halves[0], halves[1])))
         return RibbonGraph(tuple(vertices), tuple(edges))
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(str(exc)) from None

@@ -70,6 +70,15 @@ def test_analyze_singular_with_override():
     assert r.euler_form_positive is None
 
 
+def test_analyze_refuses_a_coxeter_matrix_it_cannot_use():
+    singular, regular = RationalMatrix([[1, 1], [1, 1]]), RationalMatrix([[2, 1], [1, 1]])
+    for c, phi in ((singular, RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+                   (singular, RationalMatrix([[1, 0]])),
+                   (regular, RationalMatrix([[0, -1], [-1, 0]]))):
+        with pytest.raises(ValueError):
+            analyze(c, coxeter_override=phi)
+
+
 def test_analyze_permutation_invariance():
     p = RationalMatrix([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     conj = p @ FOUR_VERTEX_C @ p.inverse()

@@ -182,6 +182,26 @@ def test_analyze_identity_trivial(capsys, tmp_path):
     assert report["coxeter"] == [["-1", "0"], ["0", "-1"]]
 
 
+@pytest.mark.parametrize(
+    "cartan, coxeter, code, kind",
+    [
+        ([[1, 1], [1, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], 2, "malformed_input"),
+        ([[1, 1], [1, 1]], [[1, 0, 0]], 2, "malformed_input"),
+        ([[2, 1], [1, 1]], [[0, -1], [-1, 0]], 1, "domain"),
+    ],
+    ids=["square-of-another-size", "not-square", "regular-cartan"],
+)
+def test_coxeter_option_needs_a_singular_cartan_of_its_shape(
+        capsys, tmp_path, cartan, coxeter, code, kind):
+    argv = ["analyze"]
+    for option, rows in (("--cartan", cartan), ("--coxeter", coxeter)):
+        f = tmp_path / f"{option[2:]}.json"
+        f.write_text(json.dumps({"entries": rows}))
+        argv += [option, str(f)]
+    out = _run(capsys, argv, expect_code=code)
+    assert json.loads(out)["error"]["kind"] == kind
+
+
 def test_json_outputs_reparse(capsys):
     # round-trip: every emitted JSON re-parses to an equal value
     for argv in (
@@ -271,6 +291,14 @@ def _loop_as(vertex, edge):
         (["brauer", "decide", "--graph"], LOOP_AS_STRINGS),
         (["brauer", "decide", "--graph"], _loop_as({"order": ["a", "b"]}, {"halves": "ab"})),
         (["brauer", "decide", "--graph"], _loop_as({"order": "ab"}, {"halves": ["a", "b"]})),
+        (["brauer", "decide", "--graph"],
+         {"vertices": [{"id": None, "order": [None, {"a": 1}]}],
+          "edges": [{"id": [1], "halves": [None, {"a": 1}]}]}),
+        (["brauer", "decide", "--graph"],
+         _loop_as({"id": 1, "order": ["a", "b"]}, {"halves": ["a", "b"]})),
+        (["brauer", "decide", "--graph"],
+         _loop_as({"order": ["a", "b"]}, {"id": 1, "halves": ["a", "b"]})),
+        (["brauer", "decide", "--graph"], _loop_as({"order": [1, 2]}, {"halves": [1, 2]})),
     ],
     ids=[
         "cycles-not-json",
@@ -288,6 +316,10 @@ def _loop_as(vertex, edge):
         "order-and-halves-strings",
         "halves-string",
         "order-string",
+        "ids-and-halves-null-list-object",
+        "vertex-id-integer",
+        "edge-id-integer",
+        "halves-integers",
     ],
 )
 def test_exit_code_malformed_fields(capsys, tmp_path, command, payload):

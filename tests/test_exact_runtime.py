@@ -1,8 +1,9 @@
 """The runtime decides every verdict over the rationals: no module of the
-package imports numpy or touches a float, and a full CLI run never loads
-numpy.  No module imports a name it never uses, every top-level name is read
-by some module or exported, and no cross-check is a bare ``assert``, which
-``python -O`` strips."""
+package imports numpy or touches a float, no entry point accepts one, and a
+full CLI run never loads numpy.  No module imports a name it never uses,
+every top-level name is read by some module or exported, no cross-check is a
+bare ``assert``, which ``python -O`` strips, and every immutable value is a
+record."""
 
 import ast
 import json
@@ -15,6 +16,9 @@ from pathlib import Path
 import pytest
 
 import tiltkit
+from tiltkit import analysis, families, lattice, linalg
+from tiltkit.matrix import RationalMatrix
+from tiltkit.poly import Polynomial
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "tiltkit").glob("*.py"))
@@ -47,6 +51,71 @@ def test_no_numpy_and_no_float(path):
 def test_scan_sees_what_it_forbids():
     code = "import numpy as np\nfrom numpy.linalg import eig\nx = 1e-9\ny = float(2)\n"
     assert len(_float_uses(ast.parse(code))) == 4
+
+
+FORM = RationalMatrix([[5, 4], [4, 5]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lattice.solutions(FORM, 0.1),
+        lambda: lattice.bounded_box(FORM, 0.1, 2),
+        lambda: linalg.euler_form(FORM, [0.5, 0], [1, 0]),
+        lambda: families.family("bgs", n=3.7),
+        lambda: families.family("kronecker", l=True),
+        lambda: analysis.NakayamaPermutation(((1.0, 2.0),)),
+        lambda: Polynomial([0.1, 1]),
+    ],
+    ids=["solutions-z", "bounded-box-z", "euler-form-x", "family-float", "family-boolean",
+         "nakayama-points", "polynomial"],
+)
+def test_entry_points_refuse_a_float_or_a_boolean_count(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def _value_mechanisms(tree: ast.AST) -> list[str]:
+    """What ``Record`` alone provides, done by hand: a reference to
+    ``object.__setattr__``, a ``__slots__`` assignment or a definition of
+    ``__setattr__``, ``__delattr__``, ``__eq__`` or ``__hash__``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            found.append(f"object.__setattr__ at line {node.lineno}")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                found.append(f"__slots__ at line {node.lineno}")
+        elif isinstance(node, ast.FunctionDef) and node.name in (
+                "__setattr__", "__delattr__", "__eq__", "__hash__"):
+            found.append(f"def {node.name} at line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "_record.py"], ids=lambda p: p.name
+)
+def test_one_value_mechanism(path):
+    assert _value_mechanisms(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_value_mechanism_scan_sees_what_it_forbids():
+    code = (
+        "class M:\n    __slots__ = ('a',)\n"
+        "    def __init__(self, a):\n        object.__setattr__(self, 'a', a)\n"
+        "    def __setattr__(self, name, value):\n        raise AttributeError(name)\n"
+        "    def __delattr__(self, name):\n        raise AttributeError(name)\n"
+        "    def __eq__(self, other):\n        return self.a == other.a\n"
+        "    def __hash__(self):\n        return hash(self.a)\n"
+        "    def __repr__(self):\n        return 'M'\n"
+        "setter = object.__setattr__\n"
+    )
+    assert sorted(_value_mechanisms(ast.parse(code))) == [
+        "__slots__ at line 2", "def __delattr__ at line 7", "def __eq__ at line 9",
+        "def __hash__ at line 11", "def __setattr__ at line 5",
+        "object.__setattr__ at line 15", "object.__setattr__ at line 4"]
 
 
 def _unused_imports(tree: ast.AST) -> list[str]:

@@ -44,6 +44,9 @@ def test_immutability_and_hash():
     for name in ("_powers", "_inverse", "anything"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
+    for name in ("entries", "nrows", "_powers", "_inverse"):
+        with pytest.raises(AttributeError):
+            delattr(m, name)
     assert hash(m) == hash(RationalMatrix([["1", "2"], ["3", "4"]]))
     assert m == RationalMatrix([[1, 2], [3, 4]])
     assert m != RationalMatrix([[1, 2], [3, 5]])

@@ -17,6 +17,18 @@ X = Polynomial([0, 1])
 coeff_lists = st.lists(st.integers(min_value=-5, max_value=5), max_size=6)
 
 
+def test_immutable_and_exact():
+    p = Polynomial([1, 2])
+    for name in ("coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    with pytest.raises(TypeError):
+        Polynomial([0.1, 1])
+    assert p == Polynomial(["1", Fraction(2), 0]) and hash(p) == hash(Polynomial([1, 2, 0]))
+
+
 def test_trailing_zeros_stripped():
     assert Polynomial([1, 2, 0, 0]).degree == 1
     assert Polynomial([0]).is_zero

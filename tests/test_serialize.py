@@ -187,6 +187,12 @@ def test_presentation_malformed():
         {"vertices": 2, "arrows": [{"id": "a", "from": 1.9, "to": 2}]},
         {"vertices": 2, "arrows": [{"id": "a", "from": 1, "to": 2.5}]},
         {"vertices": 2, "arrows": [{"id": "a", "from": True, "to": 2}]},
+        # ids that str() turned into "1", "None" or "['x']"
+        {"vertices": 2, "arrows": [{"id": 1, "from": 1, "to": 2}]},
+        {"vertices": 2, "arrows": [{"id": None, "from": 1, "to": 2}]},
+        {"vertices": 2, "zero_relations": [[1, 2]],
+         "arrows": [{"id": "1", "from": 1, "to": 2}, {"id": "2", "from": 2, "to": 1}]},
+        {"vertices": 2, "arrows": [{"id": ["x"], "from": 1, "to": 2}]},
     ):
         with pytest.raises(MalformedInputError):
             presentation_from_json(bad)
@@ -224,6 +230,16 @@ def test_ribbon_malformed():
                 {
                     "vertices": [{"id": "u", "order": order}],
                     "edges": [{"id": "1", "halves": halves}],
+                }
+            )
+    # ids and half-edge names that str() turned into "1", "None" or "[1]"
+    for vertex, edge in (({"id": 1}, {}), ({"id": None}, {}), ({}, {"id": 1}),
+                         ({}, {"id": [1]}), ({"order": [1, "b"]}, {"halves": [1, "b"]})):
+        with pytest.raises(MalformedInputError):
+            ribbon_from_json(
+                {
+                    "vertices": [{"id": "u", "order": ["a", "b"], **vertex}],
+                    "edges": [{"id": "1", "halves": ["a", "b"], **edge}],
                 }
             )
     # disconnected graph is structurally invalid, flagged as malformed
